@@ -58,6 +58,15 @@ type Problem struct {
 	colPtr []int32
 	rowIdx []int32
 	val    []float64
+
+	// The same matrix by rows, built by compile() and kept current by
+	// UpdateCoef: row i's entries are colIdx/rowVal[rowPtr[i]:rowPtr[i+1]],
+	// columns ascending, and rowPos[k] is where column entry k sits in that
+	// layout. The simplex forms pivot rows from it.
+	rowPtr []int32
+	colIdx []int32
+	rowVal []float64
+	rowPos []int32
 }
 
 // NewProblem returns an empty minimization problem with the given name.
@@ -170,6 +179,7 @@ func (p *Problem) UpdateCoef(r Row, v Var, coef float64) {
 		panic(fmt.Sprintf("lp: UpdateCoef(%s, %s): no existing nonzero entry", p.rowName[r], p.colName[v]))
 	}
 	p.val[k] = coef
+	p.rowVal[p.rowPos[k]] = coef
 	// Keep the triplet list consistent so a later recompile (e.g. after new
 	// rows are added) reproduces the same matrix: the first duplicate takes
 	// the new value, the rest are zeroed. compile() sorted entries in place,
@@ -227,7 +237,35 @@ func (p *Problem) compile() {
 		}
 	}
 	p.colPtr[n] = int32(len(p.rowIdx))
+	p.compileRows()
 	p.sorted = true
+}
+
+// compileRows transposes the compressed columns into compressed rows.
+// Sweeping the columns in ascending order leaves every row's entries in
+// ascending column order.
+func (p *Problem) compileRows() {
+	m := len(p.rowLo)
+	p.rowPtr = make([]int32, m+1)
+	for _, r := range p.rowIdx {
+		p.rowPtr[r+1]++
+	}
+	for i := 0; i < m; i++ {
+		p.rowPtr[i+1] += p.rowPtr[i]
+	}
+	p.colIdx = make([]int32, len(p.rowIdx))
+	p.rowVal = make([]float64, len(p.rowIdx))
+	p.rowPos = make([]int32, len(p.rowIdx))
+	next := append([]int32(nil), p.rowPtr[:m]...)
+	for c := 0; c+1 < len(p.colPtr); c++ {
+		for k := p.colPtr[c]; k < p.colPtr[c+1]; k++ {
+			q := next[p.rowIdx[k]]
+			next[p.rowIdx[k]]++
+			p.colIdx[q] = int32(c)
+			p.rowVal[q] = p.val[k]
+			p.rowPos[k] = q
+		}
+	}
 }
 
 // column returns the compiled sparse column of structural variable j.

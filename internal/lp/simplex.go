@@ -48,15 +48,20 @@ type simplex struct {
 	// dense scratch, length m
 	y, w, rhs []float64
 	d         []float64 // phase-1 cost by basis position
+	wnz       []int32   // ascending basis positions k with w[k] != 0
+	costIdx   []int32   // ascending structurals j with cost[j] != 0
 
 	lr [1]int32 // logical column scratch
 	lv [1]float64
 
 	// devex pricing state: reference-framework weights per variable, the
-	// partial-pricing block cursor, and the Btran scratch for the pivot row.
+	// partial-pricing block cursor, the Btran scratch for the pivot row, and
+	// the pivot row's accumulator by structural column (all zero between
+	// pivots).
 	dvx         []float64
 	priceCursor int
 	rho         []float64
+	alpha       []float64
 
 	iters    int
 	refacts  int
@@ -94,6 +99,11 @@ func newSimplex(p *Problem, opts Options) *simplex {
 	copy(s.lo, p.colLo)
 	copy(s.hi, p.colHi)
 	copy(s.cost, p.obj)
+	for j, c := range p.obj {
+		if c != 0 {
+			s.costIdx = append(s.costIdx, int32(j))
+		}
+	}
 	for i := 0; i < m; i++ {
 		s.lo[n+i] = p.rowLo[i]
 		s.hi[n+i] = p.rowHi[i]
@@ -572,47 +582,52 @@ func (s *simplex) computeRho(blockPos int) {
 // leaving variable re-enters the nonbasic set with max(w_q/α_rq², 1).
 // Called with the pre-pivot bookkeeping (enter still nonbasic, leave still
 // basic) and the pre-pivot rho from computeRho.
+//
+// The pivot row α_r = ρᵀ[A | −I] is formed row-wise: only the rows with
+// ρ_i ≠ 0 are scattered, in ascending row order, into a per-column
+// accumulator. Columns store their rows ascending, so each α_rj adds the
+// same products in the same order as a column dot product would, and the
+// terms left out are exact zeros. One ascending sweep then reads the row and
+// clears the accumulator; the weight updates are independent per column, so
+// their order is free.
 func (s *simplex) devexUpdate(enter, leave, blockPos int) {
 	arq := s.w[blockPos]
 	if arq == 0 {
 		return
 	}
+	if s.alpha == nil {
+		s.alpha = make([]float64, s.n)
+	}
 	wq := s.dvx[enter]
 	ratio := wq / (arq * arq)
 	var maxW float64
-	for j := 0; j < s.n; j++ {
-		if s.state[j] == stBasic || j == enter {
-			continue
-		}
-		var dot float64
-		rows, vals := s.p.column(j)
-		for k, r := range rows {
-			dot += vals[k] * s.rho[r]
-		}
-		if dot == 0 {
-			continue
-		}
-		if cand := dot * dot * ratio; cand > s.dvx[j] {
+	raise := func(j int, a float64) {
+		if cand := a * a * ratio; cand > s.dvx[j] {
 			s.dvx[j] = cand
 		}
 		if s.dvx[j] > maxW {
 			maxW = s.dvx[j]
 		}
 	}
-	for i := 0; i < s.m; i++ {
-		j := s.n + i
-		if s.state[j] == stBasic || j == enter {
+	p := s.p
+	for i, ri := range s.rho {
+		if ri == 0 {
 			continue
 		}
-		dot := s.rho[i]
-		if dot == 0 {
+		for q, e := p.rowPtr[i], p.rowPtr[i+1]; q < e; q++ {
+			s.alpha[p.colIdx[q]] += p.rowVal[q] * ri
+		}
+		if j := s.n + i; s.state[j] != stBasic && j != enter {
+			raise(j, ri)
+		}
+	}
+	for j, a := range s.alpha {
+		if a == 0 {
 			continue
 		}
-		if cand := dot * dot * ratio; cand > s.dvx[j] {
-			s.dvx[j] = cand
-		}
-		if s.dvx[j] > maxW {
-			maxW = s.dvx[j]
+		s.alpha[j] = 0
+		if s.state[j] != stBasic && j != enter {
+			raise(j, a)
 		}
 	}
 	lw := ratio
@@ -637,7 +652,8 @@ type ratioResult struct {
 }
 
 // ratioTest finds the maximum step for entering variable j moving with sign
-// sigma along direction w (x_B changes by −sigma·t·w). In phase 1,
+// sigma along direction w (x_B changes by −sigma·t·w), visiting only the
+// nonzeros of w listed in s.wnz (a zero never blocks). In phase 1,
 // infeasible basics block when they reach the bound they violate; feasible
 // basics block as usual. Uses a two-pass Harris-style test for stability.
 func (s *simplex) ratioTest(j int, sigma float64, phase1 bool) ratioResult {
@@ -652,7 +668,7 @@ func (s *simplex) ratioTest(j int, sigma float64, phase1 bool) ratioResult {
 
 	// Pass 1: relaxed minimum ratio with feasibility slack.
 	tmax := res.t
-	for k := 0; k < s.m; k++ {
+	for _, k := range s.wnz {
 		rho := -sigma * s.w[k] // rate of change of basic k
 		if rho > -pt && rho < pt {
 			continue
@@ -688,7 +704,8 @@ func (s *simplex) ratioTest(j int, sigma float64, phase1 bool) ratioResult {
 	// Pass 2: among blockers whose exact ratio is ≤ tmax, pick the one with
 	// the largest pivot magnitude.
 	bestPivot := 0.0
-	for k := 0; k < s.m; k++ {
+	for _, k32 := range s.wnz {
+		k := int(k32)
 		rho := -sigma * s.w[k]
 		if rho > -pt && rho < pt {
 			continue
@@ -862,6 +879,7 @@ func (s *simplex) runLoop() Status {
 			s.w[r] = vals[k]
 		}
 		s.f.Ftran(s.w)
+		s.wnz = appendNonzeros(s.wnz[:0], s.w)
 
 		rt := s.ratioTest(enter, sigma, phase1)
 		if math.IsInf(rt.t, 1) {
@@ -879,11 +897,7 @@ func (s *simplex) runLoop() Status {
 
 		if rt.blockPos < 0 {
 			// Bound flip: no basis change.
-			for k := range s.basis {
-				if s.w[k] != 0 {
-					s.xv[s.basis[k]] -= sigma * rt.t * s.w[k]
-				}
-			}
+			s.stepBasics(sigma * rt.t)
 			if s.state[enter] == stLower {
 				s.state[enter] = stUpper
 			} else {
@@ -902,7 +916,7 @@ func (s *simplex) runLoop() Status {
 		if devex {
 			s.computeRho(rt.blockPos)
 		}
-		if err := s.f.Update(rt.blockPos, s.w, s.opt.PivotTol); err != nil {
+		if err := s.f.Update(rt.blockPos, s.w, s.wnz, s.opt.PivotTol); err != nil {
 			if err2 := s.refactorize(); err2 != nil {
 				return NumericalFailure
 			}
@@ -913,11 +927,7 @@ func (s *simplex) runLoop() Status {
 			s.devexUpdate(enter, s.basis[rt.blockPos], rt.blockPos)
 		}
 		entVal := s.xv[enter] + sigma*rt.t
-		for k := range s.basis {
-			if s.w[k] != 0 {
-				s.xv[s.basis[k]] -= sigma * rt.t * s.w[k]
-			}
-		}
+		s.stepBasics(sigma * rt.t)
 		leave := s.basis[rt.blockPos]
 		if rt.toUpper {
 			s.state[leave] = stUpper
@@ -953,12 +963,18 @@ func (s *simplex) runLoop() Status {
 	}
 }
 
+// stepBasics moves the basic variables by −step·w along the entering
+// direction.
+func (s *simplex) stepBasics(step float64) {
+	for _, k := range s.wnz {
+		s.xv[s.basis[k]] -= step * s.w[k]
+	}
+}
+
 func (s *simplex) objective() float64 {
 	var v float64
-	for j := 0; j < s.n; j++ {
-		if s.cost[j] != 0 {
-			v += s.cost[j] * s.xv[j]
-		}
+	for _, j := range s.costIdx {
+		v += s.cost[j] * s.xv[j]
 	}
 	return v
 }

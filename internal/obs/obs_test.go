@@ -11,28 +11,54 @@ import (
 
 // TestConcurrentInstruments hammers every instrument type from many
 // goroutines; run with -race to check the synchronization.
+//
+// The histogram is exact only while it holds at most HistogramRetain
+// observations, so the load arrives in two halves. After the first the count
+// is still below the limit and the quantiles must be exact. The second half
+// pushes it over: the quantiles then come from a reservoir whose content
+// depends on how the goroutines interleaved, and are checked against a
+// statistical bound instead.
 func TestConcurrentInstruments(t *testing.T) {
 	reg := NewRegistry()
 	const workers = 8
 	const perWorker = 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				reg.Counter("c").Inc()
-				reg.Counter("c2").Add(2)
-				reg.Gauge("g").Set(float64(i))
-				reg.Gauge("gmax").Max(float64(w*perWorker + i))
-				reg.Histogram("h").Observe(float64(i))
-				reg.Timer("t").ObserveDuration(time.Duration(i) * time.Microsecond)
-			}
-		}()
+	const half = perWorker / 2
+	if workers*half > HistogramRetain || workers*perWorker <= HistogramRetain {
+		t.Fatalf("test sizes no longer straddle HistogramRetain = %d", HistogramRetain)
 	}
-	wg.Wait()
+	// observe has every worker record the values lo..hi-1 on every instrument.
+	observe := func(lo, hi int) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := lo; i < hi; i++ {
+					reg.Counter("c").Inc()
+					reg.Counter("c2").Add(2)
+					reg.Gauge("g").Set(float64(i))
+					reg.Gauge("gmax").Max(float64(w*perWorker + i))
+					reg.Histogram("h").Observe(float64(i))
+					reg.Timer("t").ObserveDuration(time.Duration(i) * time.Microsecond)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 
+	observe(0, half)
+	hs := reg.Histogram("h").Snapshot()
+	if hs.Count != workers*half || hs.Sampled || hs.Retained != 0 {
+		t.Errorf("below the limit: count/sampled/retained = %d/%v/%d, want %d/false/0",
+			hs.Count, hs.Sampled, hs.Retained, workers*half)
+	}
+	// workers copies of 0..half-1: the median straddles half/2-1 and half/2.
+	if want := float64(half-1) / 2; hs.P50 != want || hs.Min != 0 || hs.Max != half-1 {
+		t.Errorf("below the limit: min/p50/max = %g/%g/%g, want exactly 0/%g/%d", hs.Min, hs.P50, hs.Max, want, half-1)
+	}
+
+	observe(half, perWorker)
 	if got := reg.Counter("c").Value(); got != workers*perWorker {
 		t.Errorf("counter c = %d, want %d", got, workers*perWorker)
 	}
@@ -42,7 +68,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := reg.Gauge("gmax").Value(); got != workers*perWorker-1 {
 		t.Errorf("gauge gmax = %g, want %d", got, workers*perWorker-1)
 	}
-	hs := reg.Histogram("h").Snapshot()
+	hs = reg.Histogram("h").Snapshot()
 	if hs.Count != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", hs.Count, workers*perWorker)
 	}
@@ -53,8 +79,18 @@ func TestConcurrentInstruments(t *testing.T) {
 	if math.Abs(hs.Mean-wantMean) > 1e-9 {
 		t.Errorf("histogram mean = %g, want %g", hs.Mean, wantMean)
 	}
-	if hs.P50 < wantMean-1 || hs.P50 > wantMean+1 {
-		t.Errorf("histogram p50 = %g, want ≈%g", hs.P50, wantMean)
+	if !hs.Sampled || hs.Retained != HistogramRetain {
+		t.Errorf("above the limit: sampled/retained = %v/%d, want true/%d", hs.Sampled, hs.Retained, HistogramRetain)
+	}
+	// Algorithm R leaves a uniform sample of k = HistogramRetain of the
+	// observations, whatever order they arrived in. The population is spread
+	// evenly over a range of width R = perWorker, so its density at the
+	// median is 1/R and the sample median is asymptotically normal around
+	// the true one with σ = 1/(2·(1/R)·√k) = R/(2√k) — 7.8 here; sampling
+	// without replacement only narrows that. The bound is 6σ = 3R/√k, which
+	// a correct reservoir exceeds about twice in 10⁹ runs.
+	if bound := 3 * perWorker / math.Sqrt(HistogramRetain); math.Abs(hs.P50-wantMean) > bound {
+		t.Errorf("histogram p50 = %g, want %g ± %.1f", hs.P50, wantMean, bound)
 	}
 	if ts := reg.Timer("t").Snapshot(); ts.Count != workers*perWorker {
 		t.Errorf("timer count = %d, want %d", ts.Count, workers*perWorker)
