@@ -272,16 +272,18 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		return nil, err
 	}
 	nNIDS := ctl.Assignment().NumNIDS()
+	// One automaton per run, shared by the fleet's engines and the oracle.
+	matcher := nids.NewMatcher(nids.Patterns(cfg.Rules))
 	engines := make(map[int]*nids.Engine, nNIDS)
 	engineOf := func(node int) *nids.Engine {
 		e, ok := engines[node]
 		if !ok {
-			e = nids.NewEngine(cfg.Rules, cfg.ScanK)
+			e = nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
 			engines[node] = e
 		}
 		return e
 	}
-	oracle := nids.NewEngine(cfg.Rules, cfg.ScanK)
+	oracle := nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
 
 	// Drift watchers over the heaviest classes' per-tick byte series. The
 	// series live on a private per-run registry: the shared cfg.Obs registry
@@ -353,12 +355,20 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		return sv
 	}
 
-	// sessionOwner resolves which node a session's hash lands on under a
-	// partition set (empirical churn measurement).
-	sessionOwner := func(parts map[shim.ClassKey][]shim.OwnedRange, sess packet.Session) int {
-		key := shim.ClassKey{SrcPoP: uint8(sess.SrcPoP), DstPoP: uint8(sess.DstPoP)}
-		h := shim.HashFraction(sess.Tuple, cfg.HashSeed)
-		for _, r := range parts[key] {
+	// Every reconfiguration measures its empirical churn over the remaining
+	// trace, so each session's class key and hash fraction are computed
+	// once here rather than twice per remaining session per proposal.
+	traceKey := make([]shim.ClassKey, len(trace))
+	traceFrac := make([]float64, len(trace))
+	for i := range trace {
+		traceKey[i] = shim.ClassKey{SrcPoP: uint8(trace[i].SrcPoP), DstPoP: uint8(trace[i].DstPoP)}
+		traceFrac[i] = shim.HashFraction(trace[i].Tuple, cfg.HashSeed)
+	}
+
+	// rangeOwner resolves which node hash fraction h lands on within one
+	// class's partition (empirical churn measurement).
+	rangeOwner := func(ranges []shim.OwnedRange, h float64) int {
+		for _, r := range ranges {
 			if h >= r.Lo && h < r.Hi {
 				return r.Node
 			}
@@ -379,10 +389,11 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		moved, remaining := 0, 0
 		newParts := partsOfTransition(ctl)
 		classCount := map[shim.ClassKey]int{}
-		for _, sess := range trace[injected:] {
+		for i := injected; i < len(trace); i++ {
 			remaining++
-			classCount[shim.ClassKey{SrcPoP: uint8(sess.SrcPoP), DstPoP: uint8(sess.DstPoP)}]++
-			if o := sessionOwner(oldParts, sess); o >= 0 && o != sessionOwner(newParts, sess) {
+			key, h := traceKey[i], traceFrac[i]
+			classCount[key]++
+			if o := rangeOwner(oldParts[key], h); o >= 0 && o != rangeOwner(newParts[key], h) {
 				moved++
 			}
 		}
@@ -416,6 +427,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	lastReconfig := -cfg.CooldownSessions
 	transitionLeft := 0
 	var decBuf []shim.Decision
+	owner := newOwnerSet(nNIDS)
 	detectedBy := func(e *nids.Engine) map[packet.FiveTuple]bool {
 		out := make(map[packet.FiveTuple]bool)
 		for _, al := range e.Alerts() {
@@ -437,38 +449,48 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 				res.MaliciousSessions++
 			}
 			inTransition := ctl.Pending() != nil
-			owner := make(map[int]bool)
+			// Path, class key and owner set are per session; reverse packets
+			// walk the forward node list back to front. Nothing reads the
+			// clock inside a session, so its ticks are summed and applied
+			// once (see sessionClock).
+			nodes := base.Routing.Path(sess.SrcPoP, sess.DstPoP).Nodes
+			key := traceKey[injected]
+			owner.reset()
+			var ticks time.Duration
+			var sessBytes uint64
 			for _, p := range sess.Packets {
-				vc.Advance(packetTick)
-				if key := (shim.ClassKey{SrcPoP: uint8(sess.SrcPoP), DstPoP: uint8(sess.DstPoP)}); classSeries[key] != nil {
-					classBytes[key] += uint64(len(p.Payload))
-				}
+				ticks += packetTick
+				sessBytes += uint64(len(p.Payload))
 				oracle.ProcessPacket(p)
-				path := base.Routing.Path(sess.SrcPoP, sess.DstPoP)
-				if p.Dir == packet.Reverse {
-					path = path.Reverse()
-				}
-				for _, node := range path.Nodes {
+				for j := range nodes {
+					node := nodes[j]
+					if p.Dir == packet.Reverse {
+						node = nodes[len(nodes)-1-j]
+					}
 					sh, ok := fleet.shims[node]
 					if !ok {
 						continue
 					}
-					vc.Advance(dispatchTick)
+					ticks += dispatchTick
 					decBuf = sh.DecideAllInto(p, decBuf[:0])
 					for _, d := range decBuf {
-						vc.Advance(actionTick)
+						ticks += actionTick
 						switch d.Act {
 						case shim.Process:
 							engineOf(node).ProcessPacket(p)
-							owner[node] = true
+							owner.add(node)
 						case shim.Replicate:
 							engineOf(d.Mirror).ProcessPacket(p)
-							owner[d.Mirror] = true
+							owner.add(d.Mirror)
 						}
 					}
 				}
 			}
-			if len(owner) == 0 || (!inTransition && len(owner) != 1) {
+			vc.Advance(ticks)
+			if classSeries[key] != nil {
+				classBytes[key] += sessBytes
+			}
+			if len(owner.list) == 0 || (!inTransition && len(owner.list) != 1) {
 				res.OwnershipErrors++
 			}
 			injected++

@@ -173,12 +173,14 @@ func Run(cfg Config) (*Result, error) {
 	cfgs := shim.CompileConfigs(a, cfg.HashSeed)
 	shims := make([]*shim.Shim, nNIDS)
 	engines := make([]*nids.Engine, nNIDS)
-	var engMu []sync.Mutex
+	// One automaton per run: every node runs the same ruleset, and the
+	// compiled matcher is immutable, so the fleet shares it.
+	matcher := nids.NewMatcher(nids.Patterns(cfg.Rules))
 	for j := 0; j < nNIDS; j++ {
 		shims[j] = shim.New(cfgs[j])
-		engines[j] = nids.NewEngine(cfg.Rules, cfg.ScanK)
+		engines[j] = nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
 	}
-	engMu = make([]sync.Mutex, nNIDS)
+	engMu := make([]sync.Mutex, nNIDS)
 
 	// Engine feed: inline at Workers <= 1, per-node sharded worker
 	// goroutines with batched hand-off above that. stop is idempotent; the
@@ -238,8 +240,8 @@ func Run(cfg Config) (*Result, error) {
 	// Telemetry: the virtual clock ticks per unit of simulated work, the
 	// tick recorder samples per-node and per-class load into timeline
 	// series, and the first TraceSessions sessions get per-packet spans.
-	vc := cfg.Clock
-	tel := newTelemetry(cfg, vc, sc, nNIDS,
+	vc := sessionClock{clock: cfg.Clock}
+	tel := newTelemetry(cfg, cfg.Clock, sc, nNIDS,
 		func(j int) uint64 {
 			engMu[j].Lock()
 			defer engMu[j].Unlock()
@@ -284,12 +286,17 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		owner.reset()
+		// Spans read the clock, so a traced session advances it tick by
+		// tick; an untraced one accumulates its ticks and advances once at
+		// the session boundary (see sessionClock).
+		vc.perTick = sessSpan != nil
+		var sessBytes uint64
 		for pi := range sess.Packets {
 			p := sess.Packets[pi]
 			ingress := sessSpan.Child("ingress")
-			vc.Advance(packetTick)
+			vc.advance(packetTick)
 			ingress.End()
-			tel.addClassBytes(sess.SrcPoP, sess.DstPoP, uint64(len(p.Payload)))
+			sessBytes += uint64(len(p.Payload))
 			for j := range nodes {
 				ni := j
 				if p.Dir == packet.Reverse {
@@ -298,19 +305,19 @@ func Run(cfg Config) (*Result, error) {
 				node := nodes[ni]
 				dsp := sessSpan.Child("dispatch").Arg("node", node)
 				d := decBuf[ni]
-				vc.Advance(dispatchTick)
+				vc.advance(dispatchTick)
 				dsp.End()
 				switch d.Act {
 				case shim.Process:
 					an := sessSpan.Child("analysis").Arg("node", node)
-					vc.Advance(actionTick)
+					vc.advance(actionTick)
 					feed.process(node, p)
 					an.End()
 					owner.add(node)
 				case shim.Replicate:
 					rp := sessSpan.Child("replicate").
 						Arg("node", node).Arg("mirror", d.Mirror)
-					vc.Advance(actionTick)
+					vc.advance(actionTick)
 					err := deliver(node, d.Mirror, p)
 					rp.End()
 					if err != nil {
@@ -320,7 +327,9 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
+		vc.flush()
 		sessSpan.End()
+		tel.addClassBytes(sess.SrcPoP, sess.DstPoP, sessBytes)
 		if tel.willTick(si) {
 			// The tick samples engine work counters; drain the shards first
 			// so the sampled values match the inline path's.
@@ -356,19 +365,22 @@ func Run(cfg Config) (*Result, error) {
 		for _, t := range tunnels {
 			sent += t.Sent()
 		}
-		waitFor(func() bool {
+		delivered := func() uint64 {
 			var got uint64
 			for j := range engines {
 				engMu[j].Lock()
 				got += engines[j].Stats().Packets
 				engMu[j].Unlock()
 			}
-			var local uint64
-			for j := range shims {
-				local += shims[j].Counters.Processed
-			}
-			return got >= local+sent
-		})
+			return got
+		}
+		var local uint64
+		for j := range shims {
+			local += shims[j].Counters.Processed
+		}
+		if err := awaitDelivery(drainPolls, delivered, local+sent); err != nil {
+			return nil, err
+		}
 		// Count detected malicious sessions post-hoc by matching alert
 		// tuples against the generated sessions (the supernode knows which
 		// sessions were malicious).
@@ -511,11 +523,35 @@ func sigsOf(rules []nids.Rule) [][]byte {
 	return out
 }
 
-func waitFor(cond func() bool) {
-	for i := 0; i < 1000; i++ {
+// Live-mode drain budget: drainPolls polls, drainPollMs apart (5 s).
+const (
+	drainPolls  = 1000
+	drainPollMs = 5
+)
+
+// waitFor polls cond up to polls times, drainPollMs apart, and reports
+// whether it held before the budget ran out.
+func waitFor(polls int, cond func() bool) bool {
+	for i := 0; i < polls; i++ {
 		if cond() {
-			return
+			return true
 		}
-		sleepMs(5)
+		sleepMs(drainPollMs)
 	}
+	return false
+}
+
+// awaitDelivery waits for the tunnel servers to hand the engines every
+// packet the run sent. A run whose drain times out has incomplete stats, so
+// it is an error — naming how far delivery got — never a result.
+func awaitDelivery(polls int, delivered func() uint64, expected uint64) error {
+	var got uint64
+	if waitFor(polls, func() bool {
+		got = delivered()
+		return got >= expected
+	}) {
+		return nil
+	}
+	return fmt.Errorf("emulation: live tunnel drain timed out after %d ms: engines received %d of %d packets",
+		polls*drainPollMs, got, expected)
 }

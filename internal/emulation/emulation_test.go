@@ -2,6 +2,7 @@ package emulation
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"nwids/internal/core"
@@ -141,6 +142,32 @@ func TestEmulationLiveTunnels(t *testing.T) {
 	}
 	if tb == 0 {
 		t.Fatal("no tunnel traffic in live mode")
+	}
+}
+
+// TestLiveDrainTimeoutIsAnError forces the live-tunnel drain to time out
+// with a delivery count that never reaches what was sent: the run must fail
+// with an error naming both numbers, not report partial stats as final.
+func TestLiveDrainTimeoutIsAnError(t *testing.T) {
+	polled := 0
+	stuck := func() uint64 { polled++; return 41 }
+	err := awaitDelivery(3, stuck, 100)
+	if err == nil {
+		t.Fatal("drain that never completes returned no error")
+	}
+	if polled != 3 {
+		t.Errorf("condition polled %d times, want the full budget of 3", polled)
+	}
+	for _, want := range []string{"timed out", "41 of 100"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if waitFor(2, func() bool { return false }) {
+		t.Error("waitFor reported success for a condition that never held")
+	}
+	if err := awaitDelivery(3, func() uint64 { return 100 }, 100); err != nil {
+		t.Errorf("drain that is already complete: %v", err)
 	}
 }
 

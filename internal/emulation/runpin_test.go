@@ -1,0 +1,105 @@
+package emulation
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"nwids/internal/obs"
+	"nwids/internal/topology"
+)
+
+// Byte-identity pins for the two shipped drivers. The constants below were
+// recorded at the commit *before* the driver's bookkeeping was made
+// per-session (coalesced virtual-clock advances, hoisted class-series index,
+// one shared matcher, cached hash fractions in RunDrift), so "the rewrite
+// moved no output byte" is checked against the old code's output rather
+// than against the new code's own. A deliberate change to anything a run
+// exports re-records them; the failure message prints the new values.
+
+func fnvHex(b []byte) string {
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// runPin is the recorded fingerprint of one emulation.Run configuration.
+type runPin struct {
+	result, timeline, trace string
+}
+
+var runPins = map[int64]runPin{
+	1: {result: "8ffa426f68e068b2", timeline: "a8596d1870cd4a9a", trace: "0361b76c3853cb9b"},
+	4: {result: "79058f5dc7a0b9bc", timeline: "48e9e666848db159", trace: "0361b76c3853cb9b"},
+}
+
+const driftPin = "954b19b2f6fdb7ea"
+
+// TestRunPinned runs Internet2 with mirror-DC replication, 600 sessions of
+// 6 × 64 B, with registry and tracer attached. TraceSessions is 8 of the
+// 600 sessions, so both clock paths run: per-packet advances under spans in
+// the traced prefix, one coalesced advance per session after it.
+func TestRunPinned(t *testing.T) {
+	_, rep := internet2Assignments(t)
+	for _, seed := range []int64{1, 4} {
+		for _, workers := range []int{1, 2} {
+			vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
+			reg := obs.NewRegistryWithClock(vc)
+			tr := obs.NewTracer(vc)
+			res, err := Run(Config{
+				Assignment: rep, TotalSessions: 600, PacketsPerSession: 6, PayloadBytes: 64,
+				GenSeed: seed, HashSeed: uint32(seed), Workers: workers,
+				Obs: reg, Clock: vc, Trace: tr, TraceSessions: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			timeline, err := json.Marshal(reg.Snapshot(nil).Timeline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var trace bytes.Buffer
+			if err := tr.WriteChromeTrace(&trace); err != nil {
+				t.Fatal(err)
+			}
+			got := runPin{
+				result:   fnvHex([]byte(fmt.Sprintf("%+v", *res))),
+				timeline: fnvHex(timeline),
+				trace:    fnvHex(trace.Bytes()),
+			}
+			if got != runPins[seed] {
+				t.Errorf("seed %d workers %d: run output moved:\n got %+v\nwant %+v", seed, workers, got, runPins[seed])
+			}
+		}
+	}
+}
+
+// TestRunDriftPinned pins everything a flash-crowd drift run reports that
+// depends on the virtual clock, the per-session hash fractions or the
+// dispatch order: the event timeline, every reconfiguration's empirical and
+// expected churn, and the fleet counter sum.
+func TestRunDriftPinned(t *testing.T) {
+	cfg, err := DriftScenario("flash", topology.Internet2(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunDrift(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, ev := range res.Timeline {
+		fmt.Fprintf(&b, "%d %s %s\n", ev.T.UnixNano(), ev.Kind, ev.Detail)
+	}
+	for _, rc := range res.Reconfigs {
+		fmt.Fprintf(&b, "%+v\n", rc)
+	}
+	fmt.Fprintf(&b, "%d %v %+v\n", res.SessionsMoved, res.ExpectedSessionsMoved, res.Counters)
+	if got := fnvHex(b.Bytes()); got != driftPin {
+		t.Errorf("drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
+			got, driftPin, len(res.Timeline), len(res.Reconfigs), res.SessionsMoved)
+	}
+}

@@ -15,7 +15,11 @@ type Match struct {
 }
 
 // Matcher is an Aho-Corasick automaton over byte patterns. It is immutable
-// and safe for concurrent use after construction.
+// after NewMatcher returns: no method writes to it, and the scan methods
+// (ScanStreamInto included) keep all mutable state — the automaton state and
+// the match buffer — in their arguments and results. One Matcher may
+// therefore be scanned from any number of goroutines at once, and shared by
+// every engine of a fleet (NewEngineWithMatcher).
 //
 // The automaton is stored cache-dense: one contiguous goto/fail-resolved
 // transition table of 256-entry per-state rows (a single scaled index per

@@ -51,20 +51,41 @@ type flowState struct {
 // the role of the unmodified Snort/Bro process running above the shim.
 // Engines are not safe for concurrent use; the emulation runs one per node.
 type Engine struct {
-	rules    []Rule
-	matcher  *Matcher
-	scan     *ScanDetector
-	flows    flowTable
+	rules   []Rule
+	matcher *Matcher
+	scan    *ScanDetector
+	flows   flowTable
+	// bothDirs counts the live flows seen in both directions. It is bumped
+	// in ProcessPacket when a flow's second direction first appears and
+	// cleared with the table in ResetEpoch, so Stats never walks the table.
+	// It lives here rather than in flowState: no per-flow byte is added.
+	bothDirs uint64
 	alerts   []Alert
 	stats    Stats
 	matchBuf []Match
 }
 
-// NewEngine builds an engine with the given ruleset and scan threshold k.
+// NewEngine builds an engine with the given ruleset and scan threshold k,
+// compiling a private automaton for the ruleset's patterns.
 func NewEngine(rules []Rule, scanK int) *Engine {
+	return NewEngineWithMatcher(rules, NewMatcher(Patterns(rules)), scanK)
+}
+
+// NewEngineWithMatcher builds an engine around an already compiled
+// automaton, so a fleet of engines running one ruleset compiles it once
+// instead of once per node (the automaton is by far the most expensive part
+// of an engine to build). m must have been built from Patterns(rules):
+// match indices are used to index rules. The matcher is only read, never
+// written, so any number of engines on any goroutines may share it; all
+// mutable scan state (per-direction automaton states, the match buffer)
+// stays in the engine. Cost: O(1), no allocation beyond the engine itself.
+func NewEngineWithMatcher(rules []Rule, m *Matcher, scanK int) *Engine {
+	if m.NumPatterns() != len(rules) {
+		panic("nids: matcher was not built from this ruleset")
+	}
 	return &Engine{
 		rules:   rules,
-		matcher: NewMatcher(Patterns(rules)),
+		matcher: m,
 		scan:    NewScanDetector(scanK),
 	}
 }
@@ -90,10 +111,20 @@ func (e *Engine) ProcessPacket(p packet.Packet) {
 	var st *int32
 	if canonicalDir {
 		st = &fs.fwdState
-		fs.seenFwd = true
+		if !fs.seenFwd {
+			fs.seenFwd = true
+			if fs.seenRev {
+				e.bothDirs++
+			}
+		}
 	} else {
 		st = &fs.revState
-		fs.seenRev = true
+		if !fs.seenRev {
+			fs.seenRev = true
+			if fs.seenFwd {
+				e.bothDirs++
+			}
+		}
 	}
 	var matched []Match
 	*st, matched = e.matcher.ScanStreamInto(*st, p.Payload, e.matchBuf[:0])
@@ -127,18 +158,16 @@ func (e *Engine) ProcessSession(s packet.Session) {
 	}
 }
 
-// Stats returns a snapshot of the work counters, with flow-direction
-// completeness tallied at call time.
+// Stats returns a snapshot of the work counters in O(1): no table walk and
+// no allocation, so it is safe to call at every telemetry tick however many
+// flows are live. FlowsBothDirs and FlowsOneSided describe the flows live
+// in the current epoch (FlowsBothDirs + FlowsOneSided == ActiveFlows) and
+// come from a tally ProcessPacket keeps incrementally; every other field is
+// cumulative across epochs.
 func (e *Engine) Stats() Stats {
 	st := e.stats
-	st.FlowsBothDirs, st.FlowsOneSided = 0, 0
-	e.flows.each(func(fs *flowState) {
-		if fs.seenFwd && fs.seenRev {
-			st.FlowsBothDirs++
-		} else {
-			st.FlowsOneSided++
-		}
-	})
+	st.FlowsBothDirs = e.bothDirs
+	st.FlowsOneSided = uint64(e.flows.count) - e.bothDirs
 	return st
 }
 
@@ -160,6 +189,7 @@ func (e *Engine) ActiveFlows() int { return e.flows.count }
 // slice from Alerts must copy it before resetting.
 func (e *Engine) ResetEpoch() {
 	e.flows.reset()
+	e.bothDirs = 0
 	e.alerts = e.alerts[:0]
 	e.scan.Reset()
 }

@@ -107,13 +107,3 @@ func (t *flowTable) reset() {
 	t.count = 0
 	t.last = 0
 }
-
-// each calls fn for every live flow state. Iteration order is the probe
-// layout — callers must not derive output ordering from it.
-func (t *flowTable) each(fn func(fs *flowState)) {
-	for i := range t.entries {
-		if t.entries[i].fs.live {
-			fn(&t.entries[i].fs)
-		}
-	}
-}

@@ -161,3 +161,30 @@ func TestWatcherNilLog(t *testing.T) {
 		t.Errorf("got %d events, want 1", len(w.Events()))
 	}
 }
+
+// TestWatcherPollAllocFree gates the telemetry tick's per-watcher cost: a
+// Poll that finds nothing new allocates nothing, and a Poll that consumes
+// one quiet sample allocates only the one-sample slice Since returns.
+func TestWatcherPollAllocFree(t *testing.T) {
+	s := NewSeries(0, virtualAt(0))
+	w := WatchSeries("load", s, nil, &CUSUMDetector{}, &EWMADetector{})
+	for i := 0; i < 2*DefaultSeriesCap; i++ {
+		s.RecordAt(time.Unix(int64(i), 0), 100)
+	}
+	w.Poll()
+	if allocs := testing.AllocsPerRun(100, func() { w.Poll() }); allocs != 0 {
+		t.Errorf("Poll with nothing new: %v allocs/run, want 0", allocs)
+	}
+	at := int64(2 * DefaultSeriesCap)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.RecordAt(time.Unix(at, 0), 100)
+		at++
+		w.Poll()
+	})
+	if allocs > 1 {
+		t.Errorf("Poll with one new sample: %v allocs/run, want at most 1", allocs)
+	}
+	if len(w.Events()) != 0 {
+		t.Fatalf("flat series fired %d drift events", len(w.Events()))
+	}
+}

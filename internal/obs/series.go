@@ -114,12 +114,15 @@ func (s *Series) Samples() []Sample {
 	return s.samplesLocked()
 }
 
-func (s *Series) samplesLocked() []Sample {
-	out := make([]Sample, 0, s.n)
-	start := (s.head - s.n + len(s.buf)) % len(s.buf)
-	for i := 0; i < s.n; i++ {
-		out = append(out, s.buf[(start+i)%len(s.buf)])
-	}
+func (s *Series) samplesLocked() []Sample { return s.tailLocked(s.n) }
+
+// tailLocked copies the newest k retained samples (k <= s.n), oldest
+// first, out of the ring: at most two contiguous runs.
+func (s *Series) tailLocked(k int) []Sample {
+	out := make([]Sample, k)
+	start := (s.head - k + len(s.buf)) % len(s.buf)
+	copied := copy(out, s.buf[start:])
+	copy(out[copied:], s.buf)
 	return out
 }
 
@@ -127,19 +130,22 @@ func (s *Series) samplesLocked() []Sample {
 // everything retained) along with the new cursor (the series' Total).
 // Samples evicted before the call are gone; drift watchers poll with the
 // cursor from the previous call to see each sample exactly once.
+//
+// Cost is proportional to what is returned, not to the ring: only the k
+// samples newer than the cursor are copied, into one slice of length k, and
+// a cursor at or past Total returns nil without allocating. The result
+// always equals the last k elements of Samples().
 func (s *Series) Since(cursor uint64) ([]Sample, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cursor >= s.total {
 		return nil, s.total
 	}
-	missed := s.total - cursor // samples newer than the cursor
-	k := int(missed)
-	if k > s.n {
-		k = s.n // the rest were evicted
+	k := s.n // everything retained; older samples were evicted
+	if missed := s.total - cursor; missed < uint64(k) {
+		k = int(missed)
 	}
-	all := s.samplesLocked()
-	return all[len(all)-k:], s.total
+	return s.tailLocked(k), s.total
 }
 
 // SeriesStats summarizes a window of samples.

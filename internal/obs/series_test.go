@@ -198,3 +198,72 @@ func TestVirtualClock(t *testing.T) {
 		t.Errorf("set failed: %v", vc.Now())
 	}
 }
+
+// TestSeriesSinceMatchesSamples pins Since to its executable spec: for
+// every cursor, Since(c) is the tail of Samples() holding the samples whose
+// all-time index is >= c. The ring is checked before it fills, exactly
+// full, and at every head position after wrapping, with cursors that are
+// evicted (older than anything retained), live, equal to Total and past it.
+func TestSeriesSinceMatchesSamples(t *testing.T) {
+	const capacity = 8
+	vc := virtualAt(0)
+	s := NewSeries(capacity, vc)
+	for total := uint64(0); total <= 3*capacity+3; total++ {
+		all := s.Samples()
+		for c := uint64(0); c <= total+2; c++ {
+			got, cursor := s.Since(c)
+			if cursor != total {
+				t.Fatalf("total %d: Since(%d) cursor = %d", total, c, cursor)
+			}
+			want := uint64(len(all)) // an evicted cursor sees everything retained
+			if c >= total {
+				want = 0
+			} else if total-c < want {
+				want = total - c
+			}
+			if uint64(len(got)) != want {
+				t.Fatalf("total %d: Since(%d) returned %d samples, want %d", total, c, len(got), want)
+			}
+			for i, sm := range got {
+				if sm != all[len(all)-len(got)+i] {
+					t.Fatalf("total %d: Since(%d)[%d] = %+v, want %+v", total, c, i, sm, all[len(all)-len(got)+i])
+				}
+				// Samples shares the ring-copy helper with Since, so also
+				// hold each sample to the model: the i-th observation ever
+				// recorded carries value i.
+				if idx := total - uint64(len(got)) + uint64(i); sm.V != float64(idx) {
+					t.Fatalf("total %d: Since(%d)[%d].V = %v, want all-time index %d", total, c, i, sm.V, idx)
+				}
+			}
+			if want == 0 && got != nil {
+				t.Fatalf("total %d: Since(%d) = %v, want nil for a cursor with nothing newer", total, c, got)
+			}
+		}
+		s.Record(float64(total))
+		vc.Advance(time.Second)
+	}
+}
+
+// TestSeriesSinceAllocFree: a poll with nothing new allocates nothing, and
+// a poll with k new samples allocates one slice of exactly k — never the
+// whole ring.
+func TestSeriesSinceAllocFree(t *testing.T) {
+	s := NewSeries(0, virtualAt(0)) // DefaultSeriesCap slots
+	for i := 0; i < 2*DefaultSeriesCap; i++ {
+		s.RecordAt(time.Unix(int64(i), 0), float64(i))
+	}
+	total := s.Total()
+	if allocs := testing.AllocsPerRun(100, func() { s.Since(total) }); allocs != 0 {
+		t.Errorf("Since with nothing new: %v allocs/run, want 0", allocs)
+	}
+	for _, k := range []int{1, 3} {
+		var got []Sample
+		allocs := testing.AllocsPerRun(100, func() { got, _ = s.Since(total - uint64(k)) })
+		if allocs > 1 {
+			t.Errorf("Since with %d new: %v allocs/run, want at most 1", k, allocs)
+		}
+		if len(got) != k || cap(got) != k {
+			t.Errorf("Since with %d new: len %d cap %d, want both %d", k, len(got), cap(got), k)
+		}
+	}
+}

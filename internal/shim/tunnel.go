@@ -38,7 +38,12 @@ func WritePacket(w io.Writer, p packet.Packet) error {
 	return err
 }
 
-// ReadPacket reads one framed packet from r.
+// ReadPacket reads one framed packet from r. It returns io.EOF only when r
+// ends cleanly on a frame boundary; a frame cut short anywhere — inside the
+// header, or between the header and the end of its declared payload — is
+// io.ErrUnexpectedEOF. A declared payload above maxPayload is rejected
+// before anything is allocated for it, so one call allocates at most
+// maxPayload bytes.
 func ReadPacket(r io.Reader) (packet.Packet, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -61,6 +66,12 @@ func ReadPacket(r io.Reader) (packet.Packet, error) {
 	if n > 0 {
 		p.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, p.Payload); err != nil {
+			if err == io.EOF {
+				// ReadFull reports EOF when not one payload byte arrived;
+				// with the header already consumed that is a truncated
+				// frame, not the end of the stream.
+				err = io.ErrUnexpectedEOF
+			}
 			return packet.Packet{}, err
 		}
 	}
