@@ -1,6 +1,7 @@
 package nids
 
 import (
+	"bytes"
 	"testing"
 
 	"nwids/internal/packet"
@@ -78,16 +79,26 @@ func TestResetEpochReusesFlowCapacity(t *testing.T) {
 
 func TestScanStreamIntoAllocFree(t *testing.T) {
 	m := NewMatcher([][]byte{[]byte("attack"), []byte("tac"), []byte("ck")})
-	data := []byte("benign traffic with one attack marker and more benign bytes")
-	buf := make([]Match, 0, 8)
-	scan := func() {
-		var state int32
-		state, buf = m.ScanStreamInto(state, data, buf[:0])
-		_ = state
-	}
-	scan() // warm buf to the match count
-	if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
-		t.Errorf("ScanStreamInto: %v allocs/run, want 0", allocs)
+	// A sub-threshold payload (single lane) and a 1400 B one whose only
+	// matches lie in lane 2, so the interleaved loop, its early stop and the
+	// per-lane finish all run.
+	long := bytes.Repeat([]byte{'.'}, 1400)
+	copy(long[800:], "attack")
+	for _, data := range [][]byte{[]byte("one attack"), long} {
+		if lanes := len(data) >= m.laneMin(); lanes != (len(data) == 1400) {
+			t.Fatalf("%d B payload: lane kernel = %v", len(data), lanes)
+		}
+		buf := make([]Match, 0, 8)
+		scan := func() {
+			_, buf = m.ScanStreamInto(0, data, buf[:0])
+		}
+		scan() // warm buf to the match count
+		if len(buf) != 3 {
+			t.Fatalf("%d B payload: %d matches, want 3", len(data), len(buf))
+		}
+		if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
+			t.Errorf("ScanStreamInto on %d B: %v allocs/run, want 0", len(data), allocs)
+		}
 	}
 }
 

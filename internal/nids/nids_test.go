@@ -102,9 +102,6 @@ func TestMatcherAgainstNaive(t *testing.T) {
 				t.Fatalf("trial %d: missing %v (patterns %q data %q)", trial, k, patterns, data)
 			}
 		}
-		if m.ScanCount(data) != len(naiveScan(patterns, data)) {
-			t.Fatalf("trial %d: ScanCount mismatch", trial)
-		}
 	}
 }
 
@@ -112,14 +109,14 @@ func TestScanStreamEquivalentToWhole(t *testing.T) {
 	patterns := [][]byte{[]byte("abc"), []byte("cab")}
 	m := NewMatcher(patterns)
 	data := []byte("xcabcabcx")
-	whole := m.ScanCount(data)
+	whole := len(m.Scan(data))
 	// Split at every possible point; totals must be identical because the
 	// automaton state carries across the split.
 	for cut := 0; cut <= len(data); cut++ {
-		st, n1 := m.ScanStream(0, data[:cut], nil)
-		_, n2 := m.ScanStream(st, data[cut:], nil)
-		if n1+n2 != whole {
-			t.Fatalf("cut %d: %d+%d ≠ %d", cut, n1, n2, whole)
+		st, head := m.ScanStreamInto(0, data[:cut], nil)
+		_, both := m.ScanStreamInto(st, data[cut:], head)
+		if len(both) != whole {
+			t.Fatalf("cut %d: %d+%d ≠ %d", cut, len(head), len(both)-len(head), whole)
 		}
 	}
 }
@@ -338,9 +335,10 @@ func BenchmarkMatcherScan(b *testing.B) {
 	s := gen.Session(0, 1)
 	payload := s.Packets[0].Payload
 	b.SetBytes(int64(len(payload)))
+	var buf []Match
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ScanCount(payload)
+		_, buf = m.ScanStreamInto(0, payload, buf[:0])
 	}
 }
 

@@ -124,15 +124,23 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 // payload templates.
 type Generator struct {
 	cfg GeneratorConfig
+	// rng and src are one random stream: rng wraps src and holds no state of
+	// its own, so draws through either interleave as if all went through rng.
+	// fill draws from src directly to skip rng's per-call layers.
 	rng *rand.Rand
+	src rand.Source
 }
 
 // NewGenerator returns a generator with the given config and seed.
 func NewGenerator(cfg GeneratorConfig, seed int64) *Generator {
-	return &Generator{cfg: cfg.withDefaults(), rng: rand.New(rand.NewSource(seed))}
+	src := rand.NewSource(seed)
+	return &Generator{cfg: cfg.withDefaults(), rng: rand.New(src), src: src}
 }
 
-// Session produces one session between hosts at the given PoPs.
+// Session produces one session between hosts at the given PoPs. It is
+// marked Malicious only if a signature was actually planted: one longer
+// than the payload cannot be, though the draws that chose it are still made
+// so that the rest of the stream does not depend on PayloadBytes.
 func (g *Generator) Session(srcPoP, dstPoP int) Session {
 	tuple := FiveTuple{
 		Proto:   ProtoTCP,
@@ -141,26 +149,31 @@ func (g *Generator) Session(srcPoP, dstPoP int) Session {
 		SrcPort: uint16(1024 + g.rng.Intn(60000)),
 		DstPort: 80,
 	}
-	s := Session{Tuple: tuple, SrcPoP: srcPoP, DstPoP: dstPoP}
+	n, size := g.cfg.PacketsPerSession, g.cfg.PayloadBytes
+	s := Session{Tuple: tuple, SrcPoP: srcPoP, DstPoP: dstPoP, Packets: make([]Packet, 0, n)}
 	malicious := len(g.cfg.Signatures) > 0 && g.rng.Float64() < g.cfg.MaliciousFraction
-	plantAt := -1
+	sigID, plantAt := 0, -1
 	if malicious {
-		s.Malicious = true
-		s.SignatureID = g.rng.Intn(len(g.cfg.Signatures))
-		plantAt = g.rng.Intn(g.cfg.PacketsPerSession)
+		sigID = g.rng.Intn(len(g.cfg.Signatures))
+		plantAt = g.rng.Intn(n)
 	}
-	for i := 0; i < g.cfg.PacketsPerSession; i++ {
+	// One allocation holds every payload of the session; each packet's slice
+	// is capped at its own bytes so an append cannot reach its neighbour's.
+	buf := make([]byte, n*size)
+	for i := 0; i < n; i++ {
 		dir := Direction(i % 2)
 		t := tuple
 		if dir == Reverse {
 			t = tuple.Reverse()
 		}
-		payload := g.payload(g.cfg.PayloadBytes)
+		payload := buf[i*size : (i+1)*size : (i+1)*size]
+		g.fill(payload)
 		if i == plantAt {
-			sig := g.cfg.Signatures[s.SignatureID]
+			sig := g.cfg.Signatures[sigID]
 			if len(sig) <= len(payload) {
 				off := g.rng.Intn(len(payload) - len(sig) + 1)
 				copy(payload[off:], sig)
+				s.Malicious, s.SignatureID = true, sigID
 			}
 		}
 		s.Packets = append(s.Packets, Packet{Tuple: t, Dir: dir, Payload: payload})
@@ -168,15 +181,22 @@ func (g *Generator) Session(srcPoP, dstPoP int) Session {
 	return s
 }
 
-// payload fills benign filler bytes drawn from a printable alphabet so that
-// planted signatures are the only detections.
-func (g *Generator) payload(n int) []byte {
+// fill writes benign filler bytes drawn from a printable alphabet so that
+// planted signatures are the only detections. Each byte is what
+// rng.Intn(len(alphabet)) would have drawn — rand.Rand.Int31n spelled out
+// for a constant, non-power-of-two n — so traces are byte-identical to the
+// ones the rng.Intn loop produced (TestFillMatchesRandIntn).
+func (g *Generator) fill(b []byte) {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ._/"
-	b := make([]byte, n)
+	const n = int32(len(alphabet))
+	const limit = int32(1<<31 - 1 - (1<<31)%uint32(n)) // Int31n's rejection bound
 	for i := range b {
-		b[i] = alphabet[g.rng.Intn(len(alphabet))]
+		v := int32(g.src.Int63() >> 32)
+		for v > limit {
+			v = int32(g.src.Int63() >> 32)
+		}
+		b[i] = alphabet[v%n]
 	}
-	return b
 }
 
 // Matrix generates sessionsPerPair[i][j] sessions for every PoP pair,
@@ -223,11 +243,13 @@ func (g *Generator) ScanSessions(srcPoP int, dstPoPs []int, contacts int) []Sess
 			SrcPort: srcPort,
 			DstPort: uint16(1 + g.rng.Intn(1024)),
 		}
+		payload := make([]byte, 40)
+		g.fill(payload)
 		out = append(out, Session{
 			Tuple:   tuple,
 			SrcPoP:  srcPoP,
 			DstPoP:  dstPoP,
-			Packets: []Packet{{Tuple: tuple, Dir: Forward, Payload: g.payload(40)}},
+			Packets: []Packet{{Tuple: tuple, Dir: Forward, Payload: payload}},
 		})
 	}
 	return out

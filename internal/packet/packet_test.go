@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,92 @@ func TestGeneratorPlantsSignatures(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("planted signature not present in any payload")
+	}
+}
+
+// TestFillMatchesRandIntn pins the generator's byte stream to the plain
+// math/rand one it was defined by: a rand.Rand over the same seed, asked
+// for every value in the order Session asks (three tuple draws, the
+// malicious coin, signature and packet choice, then per packet one Intn per
+// filler byte and the plant offset). fill inlines Int31n, so a Go release
+// that changes Int31n's draw or rejection rule fails here, not in a hash.
+func TestFillMatchesRandIntn(t *testing.T) {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ._/"
+	sigs := [][]byte{[]byte("UPX!"), []byte("MALWARE-SIGNATURE"), []byte("a signature longer than a sixty-four byte payload can possibly hold, by a margin")}
+	for _, size := range []int{6, 64, 256} {
+		cfg := GeneratorConfig{PacketsPerSession: 4, PayloadBytes: size, MaliciousFraction: 0.5, Signatures: sigs}
+		g := NewGenerator(cfg, 99)
+		rng := rand.New(rand.NewSource(99))
+		for n := 0; n < 200; n++ {
+			got := g.Session(1, 2)
+			want := Session{SrcPoP: 1, DstPoP: 2, Tuple: FiveTuple{
+				Proto:   ProtoTCP,
+				SrcIP:   PoPIP(1, uint16(1+rng.Intn(60000))),
+				DstIP:   PoPIP(2, uint16(1+rng.Intn(60000))),
+				SrcPort: uint16(1024 + rng.Intn(60000)),
+				DstPort: 80,
+			}}
+			sigID, plantAt := 0, -1
+			if rng.Float64() < cfg.MaliciousFraction {
+				sigID = rng.Intn(len(sigs))
+				plantAt = rng.Intn(cfg.PacketsPerSession)
+			}
+			for i := 0; i < cfg.PacketsPerSession; i++ {
+				payload := make([]byte, size)
+				for j := range payload {
+					payload[j] = alphabet[rng.Intn(len(alphabet))]
+				}
+				if i == plantAt && len(sigs[sigID]) <= size {
+					copy(payload[rng.Intn(size-len(sigs[sigID])+1):], sigs[sigID])
+					want.Malicious, want.SignatureID = true, sigID
+				}
+				if !bytes.Equal(got.Packets[i].Payload, payload) {
+					t.Fatalf("size %d session %d packet %d:\n got %q\nwant %q", size, n, i, got.Packets[i].Payload, payload)
+				}
+			}
+			if got.Tuple != want.Tuple || got.Malicious != want.Malicious || got.SignatureID != want.SignatureID {
+				t.Fatalf("size %d session %d: got %v malicious=%v sig=%d, want %v malicious=%v sig=%d", size, n,
+					got.Tuple, got.Malicious, got.SignatureID, want.Tuple, want.Malicious, want.SignatureID)
+			}
+		}
+	}
+}
+
+// TestMaliciousMeansPlanted: a session is Malicious exactly when its
+// signature is in one of its payloads. At 6 B most signatures do not fit and
+// their sessions must stay unmarked; at 64 B every chosen one is planted.
+func TestMaliciousMeansPlanted(t *testing.T) {
+	sigs := [][]byte{[]byte("UPX!"), []byte("JOIN #"), []byte("masscan/1.0"), []byte("MALWARE-SIGNATURE")}
+	for _, size := range []int{6, 64} {
+		g := NewGenerator(GeneratorConfig{PayloadBytes: size, MaliciousFraction: 1, Signatures: sigs}, 12)
+		marked := 0
+		for n := 0; n < 400; n++ {
+			s := g.Session(0, 1)
+			planted := false
+			for _, p := range s.Packets {
+				for id, sig := range sigs {
+					if bytes.Contains(p.Payload, sig) {
+						planted = true
+						if !s.Malicious || s.SignatureID != id {
+							t.Fatalf("size %d session %d carries %q but Malicious=%v SignatureID=%d", size, n, sig, s.Malicious, s.SignatureID)
+						}
+					}
+				}
+			}
+			if s.Malicious && !planted {
+				t.Fatalf("size %d session %d marked Malicious (signature %d) with nothing planted", size, n, s.SignatureID)
+			}
+			if !s.Malicious && s.SignatureID != 0 {
+				t.Fatalf("size %d session %d: SignatureID %d on an unmarked session", size, n, s.SignatureID)
+			}
+			if s.Malicious {
+				marked++
+			}
+		}
+		// Two of the four signatures fit 6 B; all fit 64 B.
+		if want := map[int]bool{6: marked > 100 && marked < 300, 64: marked == 400}[size]; !want {
+			t.Fatalf("size %d: %d of 400 sessions marked", size, marked)
+		}
 	}
 }
 

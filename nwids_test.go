@@ -59,7 +59,7 @@ func TestFacadeNIDSTypes(t *testing.T) {
 		t.Fatal("fresh engine")
 	}
 	m := nwids.NewMatcher([][]byte{[]byte("abc")})
-	if m.ScanCount([]byte("zabcz")) != 1 {
+	if len(m.Scan([]byte("zabcz"))) != 1 {
 		t.Fatal("matcher via facade")
 	}
 	d := nwids.NewScanDetector(1)
