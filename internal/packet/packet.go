@@ -124,17 +124,76 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 // payload templates.
 type Generator struct {
 	cfg GeneratorConfig
-	// rng and src are one random stream: rng wraps src and holds no state of
-	// its own, so draws through either interleave as if all went through rng.
-	// fill draws from src directly to skip rng's per-call layers.
-	rng *rand.Rand
-	src rand.Source
+	rng *rand.Rand // wraps &lag; fill reads lag's block directly
+	lag lagged
 }
 
 // NewGenerator returns a generator with the given config and seed.
 func NewGenerator(cfg GeneratorConfig, seed int64) *Generator {
+	g := &Generator{cfg: cfg.withDefaults()}
+	g.lag.Seed(seed)
+	g.rng = rand.New(&g.lag)
+	return g
+}
+
+// Register length and short lag of math/rand's additive lagged Fibonacci
+// source.
+const (
+	lagLen = 607
+	lagTap = 273
+)
+
+// lagged replays the Int63 stream of rand.NewSource(seed) from its own block.
+// That source computes x[n] = x[n-607] + x[n-273] mod 2^64 and its Int63
+// returns x[n] mod 2^63; reduction mod 2^63 commutes with the addition, so
+// the Int63 outputs obey the same recurrence, and a block primed with the
+// source's first 607 of them reproduces the stream forever
+// (TestLaggedMatchesMathRand).
+//
+// vec holds the current 607 consecutive values, reduced only mod 2^64: bit 63
+// is carry, cleared on the way out. pos indexes the next one.
+//
+// lagged has no Uint64 method, on purpose: the source's bit 63 is not
+// replayed, and rand.New would route Rand.Uint64 to it. Without one, every
+// rand.Rand method draws through Int63.
+type lagged struct {
+	vec [lagLen]uint64
+	pos int
+}
+
+// Seed primes the block with the first 607 Int63 values of
+// rand.NewSource(seed).
+func (l *lagged) Seed(seed int64) {
 	src := rand.NewSource(seed)
-	return &Generator{cfg: cfg.withDefaults(), rng: rand.New(src), src: src}
+	for i := range l.vec {
+		l.vec[i] = uint64(src.Int63())
+	}
+	l.pos = 0
+}
+
+// Int63 returns the next value of the stream.
+func (l *lagged) Int63() int64 {
+	if l.pos == lagLen {
+		l.refill()
+	}
+	x := l.vec[l.pos]
+	l.pos++
+	return int64(x & (1<<63 - 1))
+}
+
+// refill replaces the block by the next 607 values in place. The new vec[k]
+// is the old vec[k] plus the value 273 places before it: for k < 273 that is
+// still in the old block, at k+334; from k = 273 on it is a new value,
+// written k-273 steps earlier in this same pass.
+func (l *lagged) refill() {
+	v := &l.vec
+	for k := 0; k < lagTap; k++ {
+		v[k] += v[k+lagLen-lagTap]
+	}
+	for k := lagTap; k < lagLen; k++ {
+		v[k] += v[k-lagTap]
+	}
+	l.pos = 0
 }
 
 // Session produces one session between hosts at the given PoPs. It is
@@ -183,19 +242,38 @@ func (g *Generator) Session(srcPoP, dstPoP int) Session {
 
 // fill writes benign filler bytes drawn from a printable alphabet so that
 // planted signatures are the only detections. Each byte is what
-// rng.Intn(len(alphabet)) would have drawn — rand.Rand.Int31n spelled out
-// for a constant, non-power-of-two n — so traces are byte-identical to the
-// ones the rng.Intn loop produced (TestFillMatchesRandIntn).
+// rng.Intn(len(alphabet)) would have drawn (TestFillMatchesRandIntn): that
+// is Int31n, whose draw is bits 32–62 of one stream value, rejected above
+// its bound and otherwise taken mod n. fill applies it to lag's block in
+// place; a rejected value is consumed and the byte drawn again, as Int31n
+// does (TestFillRejectionPath).
 func (g *Generator) fill(b []byte) {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ._/"
-	const n = int32(len(alphabet))
-	const limit = int32(1<<31 - 1 - (1<<31)%uint32(n)) // Int31n's rejection bound
-	for i := range b {
-		v := int32(g.src.Int63() >> 32)
-		for v > limit {
-			v = int32(g.src.Int63() >> 32)
+	const n = uint32(len(alphabet))
+	const limit = 1<<31 - 1 - (1<<31)%n // Int31n's rejection bound
+	l := &g.lag
+	for len(b) > 0 {
+		if l.pos == lagLen {
+			l.refill()
 		}
-		b[i] = alphabet[v%n]
+		src := l.vec[l.pos:]
+		if len(src) > len(b) {
+			src = src[:len(b)]
+		}
+		dst := b[:len(src)]
+		i := 0
+		for ; i < len(src); i++ {
+			v := uint32(src[i]>>32) & (1<<31 - 1)
+			if v > limit {
+				break
+			}
+			dst[i] = alphabet[v%n]
+		}
+		l.pos += i
+		b = b[i:]
+		if i < len(src) {
+			l.pos++ // the rejected value: b[0] is drawn again from the next
+		}
 	}
 }
 
@@ -203,7 +281,6 @@ func (g *Generator) fill(b []byte) {
 // returning them in a deterministic interleaved injection order (round-robin
 // across pairs, preserving intra-session order downstream).
 func (g *Generator) Matrix(sessionsPerPair [][]int) []Session {
-	var out []Session
 	n := len(sessionsPerPair)
 	remaining := 0
 	counts := make([][]int, n)
@@ -213,6 +290,7 @@ func (g *Generator) Matrix(sessionsPerPair [][]int) []Session {
 			remaining += c
 		}
 	}
+	out := make([]Session, 0, max(remaining, 0))
 	for remaining > 0 {
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {

@@ -2,6 +2,8 @@ package packet
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -158,6 +160,126 @@ func TestFillMatchesRandIntn(t *testing.T) {
 					got.Tuple, got.Malicious, got.SignatureID, want.Tuple, want.Malicious, want.SignatureID)
 			}
 		}
+	}
+}
+
+// TestLaggedMatchesMathRand pins lagged to the source it replays: Int63 for
+// Int63 against rand.NewSource over many refills, on seeds that exercise the
+// source's folding of the seed mod 2^31-1 (0 and 2^31-1 both fold to its
+// default, negative seeds wrap); Seed re-priming mid-stream; and rand.Rand
+// over lagged against rand.Rand over the source through the methods Session
+// and ScanSessions use and one that they do not.
+func TestLaggedMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, 1<<31 - 1, 1 << 31, -1 << 40, 1 << 62}
+	const draws = 1_000_000
+	for _, seed := range seeds {
+		var l lagged
+		l.Seed(seed)
+		ref := rand.NewSource(seed)
+		for i := 0; i < draws; i++ {
+			if got, want := l.Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d draw %d: Int63 = %d, want %d", seed, i, got, want)
+			}
+		}
+	}
+
+	var l lagged
+	l.Seed(5)
+	for i := 0; i < 1000; i++ {
+		l.Int63()
+	}
+	rand.New(&l).Seed(6)
+	ref := rand.NewSource(6)
+	for i := 0; i < 2*lagLen; i++ {
+		if got, want := l.Int63(), ref.Int63(); got != want {
+			t.Fatalf("after re-seeding, draw %d: Int63 = %d, want %d", i, got, want)
+		}
+	}
+
+	for _, seed := range seeds {
+		var l lagged
+		l.Seed(seed)
+		got, want := rand.New(&l), rand.New(rand.NewSource(seed))
+		for i := 0; i < 100_000; i++ {
+			var a, b int64
+			switch i % 4 {
+			case 0:
+				n := 1 + i%60000
+				a, b = int64(got.Intn(n)), int64(want.Intn(n))
+			case 1:
+				a, b = int64(math.Float64bits(got.Float64())), int64(math.Float64bits(want.Float64()))
+			case 2:
+				n := int64(i)<<33 + 3 // above Int31n's range, never a power of two
+				a, b = got.Int63n(n), want.Int63n(n)
+			case 3:
+				a, b = int64(got.Int31n(40)), int64(want.Int31n(40))
+			}
+			if a != b {
+				t.Fatalf("seed %d call %d (kind %d): %d, want %d", seed, i, i%4, a, b)
+			}
+		}
+	}
+}
+
+// TestFillRejectionPath drives fill through Int31n's rejection branch, which
+// a real stream takes with probability 8/2^31 per byte: a crafted block with
+// values above the bound at its first slot, in the middle, at its last slot,
+// two in a row, and at the first slot of the block the next refill makes, so
+// a rejection's redraw straddles the refill. Every value also carries
+// arbitrary carry in bit 63. Filled in pieces of assorted lengths, the bytes
+// and the stream position must be those of an Int31n(40) loop over a copy of
+// the same state.
+func TestFillRejectionPath(t *testing.T) {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ._/"
+	const above = uint64(1<<31-1) << 32 // Int31() = 2^31-1, past the bound for n = 40
+	rng := rand.New(rand.NewSource(17))
+	cases := map[string][]int{
+		"first":        {0},
+		"middle":       {300},
+		"last":         {lagLen - 1},
+		"two in a row": {411, 412},
+		"all of them":  {0, 300, 411, 412, lagLen - 1},
+	}
+	for name, at := range cases {
+		var state lagged
+		for i := range state.vec {
+			state.vec[i] = rng.Uint64()
+		}
+		for _, i := range at {
+			state.vec[i] = above | uint64(rng.Intn(2))<<63
+		}
+		// The refill's first value is vec[0] + vec[334]: make it a rejection too.
+		state.vec[lagLen-lagTap] = above - state.vec[0]
+		g := &Generator{lag: state}
+		ref := rand.New(&state)
+		for _, size := range []int{1, 299, 2, 1, 108, lagLen, 1400, 5, 3 * lagLen} {
+			got := make([]byte, size)
+			g.fill(got)
+			for j := range got {
+				if want := alphabet[ref.Int31n(int32(len(alphabet)))]; got[j] != want {
+					t.Fatalf("%s: piece of %d byte %d = %q, want %q", name, size, j, got[j], want)
+				}
+			}
+			if g.lag != state {
+				t.Fatalf("%s: after a piece of %d, fill's stream is at %d, Int31n's at %d", name, size, g.lag.pos, state.pos)
+			}
+		}
+	}
+}
+
+// BenchmarkSession times the generator per session at the payload sizes of
+// the pkt-small, default and pkt-large workloads; bytes are payload bytes.
+func BenchmarkSession(b *testing.B) {
+	sigs := [][]byte{[]byte("UPX!"), []byte("MALWARE-SIGNATURE")}
+	for _, size := range []int{6, 256, 1400} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			g := NewGenerator(GeneratorConfig{PayloadBytes: size, Signatures: sigs}, 1)
+			b.SetBytes(int64(6 * size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Session(i%11, (i+1)%11)
+			}
+		})
 	}
 }
 

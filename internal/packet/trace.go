@@ -20,11 +20,25 @@ import (
 //	per packet:  u8 dir | u32 payloadLen | payload
 var traceMagic = [4]byte{'N', 'W', 'T', '1'}
 
-// maxTracePayload bounds per-packet payloads on read.
-const maxTracePayload = 1 << 20
+// Limits ReadTrace enforces and WriteTrace therefore refuses to exceed.
+const (
+	maxTraceSessions = 1 << 24
+	maxTracePayload  = 1 << 20
+)
 
-// WriteTrace serializes sessions to w.
+// payloadChunk is the most ReadTrace allocates for a payload before its
+// bytes arrive; longer payloads grow by doubling as they are read.
+const payloadChunk = 4 << 10
+
+// WriteTrace serializes sessions to w. It returns an error rather than write
+// a trace that ReadTrace would reject or read back different: a PoP outside
+// a byte, a SignatureID outside uint16, more than 65535 packets, a Dir other
+// than Forward or Reverse, a packet tuple that is not the session's tuple in
+// its direction, or a limit above exceeded.
 func WriteTrace(w io.Writer, sessions []Session) error {
+	if len(sessions) > maxTraceSessions {
+		return fmt.Errorf("packet: %d sessions (max %d)", len(sessions), maxTraceSessions)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(traceMagic[:]); err != nil {
 		return err
@@ -36,6 +50,9 @@ func WriteTrace(w io.Writer, sessions []Session) error {
 		s := &sessions[i]
 		if s.SrcPoP > 255 || s.DstPoP > 255 || s.SrcPoP < 0 || s.DstPoP < 0 {
 			return fmt.Errorf("packet: session %d has out-of-range PoPs (%d, %d)", i, s.SrcPoP, s.DstPoP)
+		}
+		if s.SignatureID < 0 || s.SignatureID > 65535 {
+			return fmt.Errorf("packet: session %d has out-of-range signature ID %d (max 65535)", i, s.SignatureID)
 		}
 		if len(s.Packets) > 65535 {
 			return fmt.Errorf("packet: session %d has %d packets (max 65535)", i, len(s.Packets))
@@ -53,7 +70,16 @@ func WriteTrace(w io.Writer, sessions []Session) error {
 		writeTuple(bw, s.Tuple)
 		binary.BigEndian.PutUint16(u16[:], uint16(len(s.Packets)))
 		bw.Write(u16[:])
-		for _, p := range s.Packets {
+		for k, p := range s.Packets {
+			if p.Dir > Reverse {
+				return fmt.Errorf("packet: session %d packet %d: bad direction %d", i, k, p.Dir)
+			}
+			if want := directed(s.Tuple, p.Dir); p.Tuple != want {
+				return fmt.Errorf("packet: session %d packet %d: tuple %v, want %v", i, k, p.Tuple, want)
+			}
+			if len(p.Payload) > maxTracePayload {
+				return fmt.Errorf("packet: session %d packet %d: payload %d too large", i, k, len(p.Payload))
+			}
 			bw.WriteByte(byte(p.Dir))
 			binary.BigEndian.PutUint32(u32[:], uint32(len(p.Payload)))
 			bw.Write(u32[:])
@@ -105,10 +131,11 @@ func ReadTrace(r io.Reader) ([]Session, error) {
 		return nil, err
 	}
 	count := binary.BigEndian.Uint32(u32[:])
-	if count > 1<<24 {
+	if count > maxTraceSessions {
 		return nil, fmt.Errorf("packet: implausible session count %d", count)
 	}
-	sessions := make([]Session, 0, count)
+	// count is a claim, not yet bytes: sessions grow as they parse.
+	var sessions []Session
 	var u16 [2]byte
 	for i := uint32(0); i < count; i++ {
 		var hdr [3]byte
@@ -144,18 +171,39 @@ func ReadTrace(r io.Reader) ([]Session, error) {
 			if n > maxTracePayload {
 				return nil, fmt.Errorf("packet: session %d packet %d: payload %d too large", i, k, n)
 			}
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
+			payload, err := readPayload(br, int(n))
+			if err != nil {
 				return nil, err
 			}
 			dir := Direction(dirB)
-			t := s.Tuple
-			if dir == Reverse {
-				t = s.Tuple.Reverse()
-			}
-			s.Packets = append(s.Packets, Packet{Tuple: t, Dir: dir, Payload: payload})
+			s.Packets = append(s.Packets, Packet{Tuple: directed(s.Tuple, dir), Dir: dir, Payload: payload})
 		}
 		sessions = append(sessions, s)
 	}
 	return sessions, nil
+}
+
+// directed returns a session's forward tuple as seen by a packet in dir.
+func directed(forward FiveTuple, dir Direction) FiveTuple {
+	if dir == Reverse {
+		return forward.Reverse()
+	}
+	return forward
+}
+
+// readPayload reads an n-byte payload into a buffer that grows as the bytes
+// arrive, from payloadChunk by doubling, so a truncated input costs about
+// what it holds rather than the length it declares.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, min(n, payloadChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, p[have:]); err != nil {
+			return nil, err
+		}
+		if len(p) == n {
+			return p, nil
+		}
+		have = len(p)
+		p = append(p, make([]byte, min(n-have, have))...)
+	}
 }
