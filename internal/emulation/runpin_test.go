@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nwids/internal/core"
 	"nwids/internal/obs"
 	"nwids/internal/topology"
 )
@@ -36,7 +37,10 @@ var runPins = map[int64]runPin{
 	4: {result: "79058f5dc7a0b9bc", timeline: "48e9e666848db159", trace: "0361b76c3853cb9b"},
 }
 
-const driftPin = "954b19b2f6fdb7ea"
+const (
+	driftPin         = "954b19b2f6fdb7ea"
+	driftPinMirrorDC = "8dc5ca6d08eef531"
+)
 
 // TestRunPinned runs Internet2 with mirror-DC replication, 600 sessions of
 // 6 × 64 B, with registry and tracer attached. TraceSessions is 8 of the
@@ -77,10 +81,24 @@ func TestRunPinned(t *testing.T) {
 	}
 }
 
-// TestRunDriftPinned pins everything a flash-crowd drift run reports that
-// depends on the virtual clock, the per-session hash fractions or the
-// dispatch order: the event timeline, every reconfiguration's empirical and
-// expected churn, and the fleet counter sum.
+// driftFingerprint hashes everything a drift run reports that depends on
+// the virtual clock, the per-session hash fractions or the dispatch order:
+// the event timeline, every reconfiguration's empirical and expected churn,
+// and the fleet counter sum.
+func driftFingerprint(res *DriftResult) string {
+	var b bytes.Buffer
+	for _, ev := range res.Timeline {
+		fmt.Fprintf(&b, "%d %s %s\n", ev.T.UnixNano(), ev.Kind, ev.Detail)
+	}
+	for _, rc := range res.Reconfigs {
+		fmt.Fprintf(&b, "%+v\n", rc)
+	}
+	fmt.Fprintf(&b, "%d %v %+v\n", res.SessionsMoved, res.ExpectedSessionsMoved, res.Counters)
+	return fnvHex(b.Bytes())
+}
+
+// TestRunDriftPinned pins a flash-crowd drift run on the no-mirror LP. Its
+// fleet never replicates, so every transition decision is a single Process.
 func TestRunDriftPinned(t *testing.T) {
 	cfg, err := DriftScenario("flash", topology.Internet2(), 300)
 	if err != nil {
@@ -90,16 +108,34 @@ func TestRunDriftPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bytes.Buffer
-	for _, ev := range res.Timeline {
-		fmt.Fprintf(&b, "%d %s %s\n", ev.T.UnixNano(), ev.Kind, ev.Detail)
-	}
-	for _, rc := range res.Reconfigs {
-		fmt.Fprintf(&b, "%+v\n", rc)
-	}
-	fmt.Fprintf(&b, "%d %v %+v\n", res.SessionsMoved, res.ExpectedSessionsMoved, res.Counters)
-	if got := fnvHex(b.Bytes()); got != driftPin {
+	if got := driftFingerprint(res); got != driftPin {
 		t.Errorf("drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
 			got, driftPin, len(res.Timeline), len(res.Reconfigs), res.SessionsMoved)
+	}
+}
+
+// TestRunDriftPinnedMirrorDC pins the same flash crowd with mirror-DC
+// replication. Its merged transition configs emit two decisions for some
+// packets (Dual > 0), so this run pins the per-flow ×n counting of a
+// multi-decision dispatch as well as replication to the DC.
+func TestRunDriftPinnedMirrorDC(t *testing.T) {
+	cfg, err := DriftScenario("flash", topology.Internet2(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Replication = core.ReplicationConfig{Mirror: core.MirrorDCOnly, DCCapacity: 8}
+	res, err := RunDrift(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.Replicated != 4440 || res.Counters.Dual != 84 {
+		t.Errorf("Replicated %d, Dual %d; want 4440, 84", res.Counters.Replicated, res.Counters.Dual)
+	}
+	if res.OracleDetected != 78 || res.FleetDetected != 78 {
+		t.Errorf("oracle detected %d, fleet %d; want 78, 78", res.OracleDetected, res.FleetDetected)
+	}
+	if got := driftFingerprint(res); got != driftPinMirrorDC {
+		t.Errorf("mirror-DC drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
+			got, driftPinMirrorDC, len(res.Timeline), len(res.Reconfigs), res.SessionsMoved)
 	}
 }
