@@ -29,6 +29,9 @@ import (
 // dominates over the byte-proportional automaton scan.
 const benchPayloadBytes = 6
 
+// benchHashSeed is the shim hash seed of the shared fixture.
+const benchHashSeed = 1
+
 // packetPathData is the shared fixture: an Internet2 replication
 // assignment, its compiled shims, and a generated session workload. Shims
 // and engines are slice-indexed by node, as in the emulation.
@@ -55,7 +58,7 @@ func newPacketPathData(b testing.TB, totalSessions int) *packetPathData {
 	d := &packetPathData{a: a, nNodes: a.NumNIDS()}
 	d.cfgs = make([]*shim.Config, d.nNodes)
 	d.shims = make([]*shim.Shim, d.nNodes)
-	for node, cfg := range shim.CompileConfigs(a, 1) {
+	for node, cfg := range shim.CompileConfigs(a, benchHashSeed) {
 		d.cfgs[node] = cfg
 		d.shims[node] = shim.New(cfg)
 	}
@@ -78,7 +81,7 @@ func (d *packetPathData) fastPass(engines []*nids.Engine) {
 	routing := d.a.Scenario.Routing
 	for _, sess := range d.sessions {
 		nodes := routing.Path(sess.SrcPoP, sess.DstPoP).Nodes
-		u := d.shims[nodes[0]].Hash(sess.Packets[0])
+		u := shim.HashTuple(sess.Tuple, benchHashSeed)
 		// Every path node decides the flow once; the assignment pins each
 		// session to exactly one engine (the emulation asserts this as
 		// OwnershipErrors == 0), which then sees the packets in order.
@@ -183,7 +186,7 @@ func (d *packetPathData) shardedPass(sp *shardPool) {
 	routing := d.a.Scenario.Routing
 	for _, sess := range d.sessions {
 		nodes := routing.Path(sess.SrcPoP, sess.DstPoP).Nodes
-		u := d.shims[nodes[0]].Hash(sess.Packets[0])
+		u := shim.HashTuple(sess.Tuple, benchHashSeed)
 		target := -1
 		for _, node := range nodes {
 			switch dec := d.shims[node].DecideFlow(sess.Packets[0], u, len(sess.Packets)); dec.Act {
@@ -335,8 +338,8 @@ func BenchmarkPacketPath(b *testing.B) {
 	}
 }
 
-// BenchmarkDecide isolates the shim decision: compiled integer-bound
-// dispatch, the batch entry point, and the seed's map-plus-float-range
+// BenchmarkDecide isolates the shim decision, tuple hash included:
+// compiled integer-bound dispatch against the seed's map-plus-float-range
 // reference semantics.
 func BenchmarkDecide(b *testing.B) {
 	defer benchRecord(b)
@@ -349,19 +352,10 @@ func BenchmarkDecide(b *testing.B) {
 		defer benchRecord(b)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sh.Decide(pkts[i%len(pkts)])
+			p := pkts[i%len(pkts)]
+			sh.DecideFlow(p, shim.HashTuple(p.Tuple, benchHashSeed), 1)
 		}
 		compiledSec = b.Elapsed().Seconds() / float64(b.N)
-	})
-	b.Run("batch", func(b *testing.B) {
-		defer benchRecord(b)
-		b.ReportAllocs()
-		out := make([]shim.Decision, 0, len(pkts))
-		b.ResetTimer()
-		for i := 0; i < b.N; i += len(pkts) {
-			out = sh.DecideBatch(pkts, out[:0])
-		}
-		_ = out
 	})
 	b.Run("reference", func(b *testing.B) {
 		defer benchRecord(b)

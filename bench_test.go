@@ -280,7 +280,8 @@ func BenchmarkShimThroughput(b *testing.B) {
 	pkts := gen(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.Decide(pkts[i%len(pkts)])
+		p := pkts[i%len(pkts)]
+		sh.DecideFlow(p, nwids.HashTuple(p.Tuple, 1), 1)
 	}
 }
 

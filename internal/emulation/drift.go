@@ -193,9 +193,10 @@ type DriftResult struct {
 	Reconciled bool
 }
 
-// shimFleet applies controller epoch pushes to the in-process shims.
+// shimFleet applies controller epoch pushes to the in-process shims. The
+// initial epoch configures every node, so each path node has a shim.
 type shimFleet struct {
-	shims map[int]*shim.Shim
+	shims []*shim.Shim // node-indexed
 }
 
 // Apply implements controller.Fleet all-or-nothing: every config is
@@ -211,19 +212,21 @@ func (f *shimFleet) Apply(_ int, _ controller.FleetPhase, cfgs map[int]*shim.Con
 	}
 	sort.Ints(nodes)
 	for _, node := range nodes {
-		if sh, ok := f.shims[node]; ok {
-			if err := sh.CheckConfig(cfgs[node]); err != nil {
+		if node < len(f.shims) && f.shims[node] != nil {
+			if err := f.shims[node].CheckConfig(cfgs[node]); err != nil {
 				return fmt.Errorf("node %d: %w", node, err)
 			}
 		}
 	}
 	for _, node := range nodes {
-		sh, ok := f.shims[node]
-		if !ok {
+		for node >= len(f.shims) {
+			f.shims = append(f.shims, nil)
+		}
+		if f.shims[node] == nil {
 			f.shims[node] = shim.New(cfgs[node])
 			continue
 		}
-		if err := sh.SetConfig(cfgs[node]); err != nil {
+		if err := f.shims[node].SetConfig(cfgs[node]); err != nil {
 			return fmt.Errorf("node %d: %w", node, err) // unreachable: checked above
 		}
 	}
@@ -263,7 +266,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	}
 
 	// Controller over the in-process fleet.
-	fleet := &shimFleet{shims: make(map[int]*shim.Shim)}
+	fleet := &shimFleet{}
 	ctl, err := controller.New(base, fleet, controller.Config{
 		Seed: cfg.HashSeed, Replication: cfg.Replication,
 		Planner: cfg.Planner, Registry: cfg.Obs, Log: cfg.Log,
@@ -274,14 +277,9 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	nNIDS := ctl.Assignment().NumNIDS()
 	// One automaton per run, shared by the fleet's engines and the oracle.
 	matcher := nids.NewMatcher(nids.Patterns(cfg.Rules))
-	engines := make(map[int]*nids.Engine, nNIDS)
-	engineOf := func(node int) *nids.Engine {
-		e, ok := engines[node]
-		if !ok {
-			e = nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
-			engines[node] = e
-		}
-		return e
+	engines := make([]*nids.Engine, nNIDS)
+	for j := range engines {
+		engines[j] = nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
 	}
 	oracle := nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
 
@@ -426,8 +424,16 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	injected := 0
 	lastReconfig := -cfg.CooldownSessions
 	transitionLeft := 0
-	var decBuf []shim.Decision
-	owner := newOwnerSet(nNIDS)
+	// controller.New configured every node, so fleet.shims is complete;
+	// later pushes reconfigure its shims in place.
+	w := newSessionWalk(fleet.shims, cfg.HashSeed, cfg.Clock, nNIDS)
+	act := func(node int, d shim.Decision, p packet.Packet) error {
+		if d.Act == shim.Replicate {
+			node = d.Mirror
+		}
+		engines[node].ProcessPacket(p)
+		return nil
+	}
 	detectedBy := func(e *nids.Engine) map[packet.FiveTuple]bool {
 		out := make(map[packet.FiveTuple]bool)
 		for _, al := range e.Alerts() {
@@ -444,53 +450,27 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 				transitionLeft = cfg.TransitionSessions
 			}
 		}
-		for _, sess := range ph.sessions {
+		for si := range ph.sessions {
+			sess := &ph.sessions[si]
 			if sess.Malicious {
 				res.MaliciousSessions++
 			}
 			inTransition := ctl.Pending() != nil
-			// Path, class key and owner set are per session; reverse packets
-			// walk the forward node list back to front. Nothing reads the
-			// clock inside a session, so its ticks are summed and applied
-			// once (see sessionClock).
-			nodes := base.Routing.Path(sess.SrcPoP, sess.DstPoP).Nodes
-			key := traceKey[injected]
-			owner.reset()
-			var ticks time.Duration
-			var sessBytes uint64
+			// The oracle is its own engine, so it can take the whole
+			// session before the fleet does: each engine still sees the
+			// session's packets in order.
 			for _, p := range sess.Packets {
-				ticks += packetTick
-				sessBytes += uint64(len(p.Payload))
 				oracle.ProcessPacket(p)
-				for j := range nodes {
-					node := nodes[j]
-					if p.Dir == packet.Reverse {
-						node = nodes[len(nodes)-1-j]
-					}
-					sh, ok := fleet.shims[node]
-					if !ok {
-						continue
-					}
-					ticks += dispatchTick
-					decBuf = sh.DecideAllInto(p, decBuf[:0])
-					for _, d := range decBuf {
-						ticks += actionTick
-						switch d.Act {
-						case shim.Process:
-							engineOf(node).ProcessPacket(p)
-							owner.add(node)
-						case shim.Replicate:
-							engineOf(d.Mirror).ProcessPacket(p)
-							owner.add(d.Mirror)
-						}
-					}
-				}
 			}
-			vc.Advance(ticks)
+			owners, err := w.walk(sess, base.Routing.Path(sess.SrcPoP, sess.DstPoP).Nodes, nil, act)
+			if err != nil {
+				return nil, err
+			}
+			key := traceKey[injected]
 			if classSeries[key] != nil {
-				classBytes[key] += sessBytes
+				classBytes[key] += payloadBytes(sess)
 			}
-			if len(owner.list) == 0 || (!inTransition && len(owner.list) != 1) {
+			if len(owners) == 0 || (!inTransition && len(owners) != 1) {
 				res.OwnershipErrors++
 			}
 			injected++
@@ -547,14 +527,8 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	// flagged by some fleet engine.
 	oracleHits := detectedBy(oracle)
 	fleetHits := make(map[packet.FiveTuple]bool)
-	nodes := make([]int, 0, len(engines))
-	for node := range engines {
-		//lint:ignore nondeterminism nodes are sorted immediately below
-		nodes = append(nodes, node)
-	}
-	sort.Ints(nodes)
-	for _, node := range nodes {
-		for tu := range detectedBy(engines[node]) {
+	for _, e := range engines {
+		for tu := range detectedBy(e) {
 			fleetHits[tu] = true
 		}
 	}
@@ -570,9 +544,8 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		}
 	}
 
-	for node := range fleet.shims {
-		//lint:ignore nondeterminism counter addition is commutative
-		res.Counters = res.Counters.Add(fleet.shims[node].Counters)
+	for _, sh := range fleet.shims {
+		res.Counters = res.Counters.Add(sh.Counters)
 	}
 	res.Reconciled = res.Counters.Reconciled()
 	if cfg.Obs != nil {

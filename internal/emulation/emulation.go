@@ -240,7 +240,6 @@ func Run(cfg Config) (*Result, error) {
 	// Telemetry: the virtual clock ticks per unit of simulated work, the
 	// tick recorder samples per-node and per-class load into timeline
 	// series, and the first TraceSessions sessions get per-packet spans.
-	vc := sessionClock{clock: cfg.Clock}
 	tel := newTelemetry(cfg, cfg.Clock, sc, nNIDS,
 		func(j int) uint64 {
 			engMu[j].Lock()
@@ -254,10 +253,17 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Sessions: len(sessions)}
 	preAlerts := make([]int, nNIDS)
-	owner := newOwnerSet(nNIDS)
-	var decBuf []shim.Decision
+	w := newSessionWalk(shims, cfg.HashSeed, cfg.Clock, nNIDS)
+	act := func(node int, d shim.Decision, p packet.Packet) error {
+		if d.Act == shim.Replicate {
+			return deliver(node, d.Mirror, p)
+		}
+		feed.process(node, p)
+		return nil
+	}
 
-	for si, sess := range sessions {
+	for si := range sessions {
+		sess := &sessions[si]
 		if sess.Malicious {
 			res.MaliciousSessions++
 		}
@@ -266,83 +272,25 @@ func Run(cfg Config) (*Result, error) {
 			sessSpan = runSpan.Child("session").
 				Arg("session", si).Arg("src", sess.SrcPoP).Arg("dst", sess.DstPoP)
 		}
-		// Dispatch is per-flow by construction — class key and session hash
-		// are direction-independent — so each path node's decision is made
-		// once per session via DecideFlow (counters advance as if Decide ran
-		// per packet; they are only read at tick boundaries, between
-		// sessions, so the timeline is unchanged). The per-packet replay
-		// below consumes the per-node decisions in the seed path's exact
-		// order, keeping clock advances and spans identical. A session's
-		// packets all follow the same path; reverse-direction packets index
-		// the forward node list back to front rather than materializing a
-		// reversed path per packet.
-		path := sc.Routing.Path(sess.SrcPoP, sess.DstPoP)
-		nodes := path.Nodes
-		decBuf = decBuf[:0]
-		if len(sess.Packets) > 0 {
-			u := shim.HashTuple(sess.Tuple, cfg.HashSeed)
-			for _, node := range nodes {
-				decBuf = append(decBuf, shims[node].DecideFlow(sess.Packets[0], u, len(sess.Packets)))
-			}
+		owners, err := w.walk(sess, sc.Routing.Path(sess.SrcPoP, sess.DstPoP).Nodes, sessSpan, act)
+		if err != nil {
+			return nil, err
 		}
-		owner.reset()
-		// Spans read the clock, so a traced session advances it tick by
-		// tick; an untraced one accumulates its ticks and advances once at
-		// the session boundary (see sessionClock).
-		vc.perTick = sessSpan != nil
-		var sessBytes uint64
-		for pi := range sess.Packets {
-			p := sess.Packets[pi]
-			ingress := sessSpan.Child("ingress")
-			vc.advance(packetTick)
-			ingress.End()
-			sessBytes += uint64(len(p.Payload))
-			for j := range nodes {
-				ni := j
-				if p.Dir == packet.Reverse {
-					ni = len(nodes) - 1 - j
-				}
-				node := nodes[ni]
-				dsp := sessSpan.Child("dispatch").Arg("node", node)
-				d := decBuf[ni]
-				vc.advance(dispatchTick)
-				dsp.End()
-				switch d.Act {
-				case shim.Process:
-					an := sessSpan.Child("analysis").Arg("node", node)
-					vc.advance(actionTick)
-					feed.process(node, p)
-					an.End()
-					owner.add(node)
-				case shim.Replicate:
-					rp := sessSpan.Child("replicate").
-						Arg("node", node).Arg("mirror", d.Mirror)
-					vc.advance(actionTick)
-					err := deliver(node, d.Mirror, p)
-					rp.End()
-					if err != nil {
-						return nil, err
-					}
-					owner.add(d.Mirror)
-				}
-			}
-		}
-		vc.flush()
 		sessSpan.End()
-		tel.addClassBytes(sess.SrcPoP, sess.DstPoP, sessBytes)
+		tel.addClassBytes(sess.SrcPoP, sess.DstPoP, payloadBytes(sess))
 		if tel.willTick(si) {
 			// The tick samples engine work counters; drain the shards first
 			// so the sampled values match the inline path's.
 			feed.drainAll()
 		}
 		tel.sessionDone(si)
-		if len(owner.list) != 1 {
+		if len(owners) != 1 {
 			res.OwnershipErrors++
 		}
 		// Detection check: the owning node's alert count must grow for a
 		// malicious session. In live mode this is checked after draining.
 		if !cfg.Live && sess.Malicious {
-			for _, node := range owner.list {
+			for _, node := range owners {
 				feed.drain(node)
 				engMu[node].Lock()
 				n := len(engines[node].Alerts())

@@ -30,40 +30,6 @@ const (
 	defaultTraceSessions = 8
 )
 
-// sessionClock is the driver's handle on the run's virtual clock. The clock
-// rule: every *read* of the virtual clock happens either at a session
-// boundary (telemetry ticks, the session/run/aggregation spans, drift-run
-// timeline events, controller timers) or inside a traced session (the
-// per-packet spans). So an untraced session need not pay one locked Advance
-// per packet per path node: it sums its ticks and advances once before the
-// boundary. Durations are integer nanoseconds, so the sum lands on exactly
-// the instant the tick-by-tick advances would have, and every timestamp a
-// run exports is unchanged. Anything new that reads the clock mid-session
-// must either sit behind perTick or call flush first.
-type sessionClock struct {
-	clock *obs.VirtualClock
-	// perTick makes advance move the clock immediately (traced sessions).
-	perTick bool
-	pending time.Duration
-}
-
-func (c *sessionClock) advance(d time.Duration) {
-	if c.perTick {
-		c.clock.Advance(d)
-		return
-	}
-	c.pending += d
-}
-
-// flush applies the accumulated advances; the driver calls it at the end of
-// every session, before anything reads the clock.
-func (c *sessionClock) flush() {
-	if c.pending != 0 {
-		c.clock.Advance(c.pending)
-		c.pending = 0
-	}
-}
-
 // telemetry drives the emulation's tick-granularity time series and drift
 // watchers: per-node engine work and shim dispatch deltas, and per-class
 // injected bytes, each recorded at the virtual tick boundary. All series

@@ -13,11 +13,11 @@ import (
 const hotpathDirective = "//nwids:hotpath"
 
 // Hotalloc enforces the per-packet path's zero-allocation contract.
-// Functions annotated //nwids:hotpath (Shim.Decide*/DecideFlow,
-// Engine.ProcessPacket, Matcher.ScanStream*) run once per packet or per
-// flow; a single allocation there multiplies into millions per second and
-// shows up directly in the pps figures the bench trajectory tracks. Three
-// allocation shapes are flagged:
+// Functions annotated //nwids:hotpath (Shim.DecideFlowInto and its two
+// wrappers, Engine.ProcessPacket, Matcher.ScanStream*) run once per packet
+// or per flow; a single allocation there multiplies into millions per
+// second and shows up directly in the pps figures the bench trajectory
+// tracks. Three allocation shapes are flagged:
 //
 //   - make: allocates on every call. Hoist the buffer into a struct
 //     field, a caller-provided slice, or a pool.

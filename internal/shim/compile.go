@@ -31,10 +31,11 @@ type compiledRule struct {
 
 // compiled is a Config lowered to class-indexed CSR form: the rules of
 // class index i (SrcPoP<<8 | DstPoP) occupy rules[off[i]:off[i+1]], in the
-// Config's original per-class slice order so first-match semantics are
-// preserved under overlapping (merged transition) rules. present marks
-// classes that exist in the Config's rule map even when empty, keeping the
-// NoClass counter semantics of the map-based path.
+// Config's original per-class slice order, so the decisions every matching
+// rule contributes under overlapping (merged transition) rules come out in
+// rule order. present marks classes that exist in the Config's rule map
+// even when empty, keeping the NoClass counter semantics of the map-based
+// path.
 type compiled struct {
 	seed    uint32
 	off     []int32
@@ -121,7 +122,8 @@ func compileConfig(cfg *Config) *compiled {
 // did: a class-key map lookup followed by a float hash-range scan. It is
 // the executable specification the compiled dispatch table is
 // differentially tested and benchmarked against; production code should
-// use Shim.Decide.
+// use Shim.DecideFlowInto, whose single-configuration result is this
+// decision (empty for Skip).
 func ReferenceDecide(cfg *Config, p packet.Packet) Decision {
 	rules, ok := cfg.Rules[KeyForPacket(p)]
 	if !ok {

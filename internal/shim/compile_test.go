@@ -3,6 +3,8 @@ package shim
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"nwids/internal/packet"
@@ -129,33 +131,49 @@ func randomConfig(rng *rand.Rand, nClasses int, boundary []float64) *Config {
 	cfg := &Config{NodeID: 0, Seed: uint32(rng.Int31()), Rules: map[ClassKey][]RangeRule{}}
 	for c := 0; c < nClasses; c++ {
 		key := ClassKey{SrcPoP: uint8(rng.Intn(11)), DstPoP: uint8(rng.Intn(11))}
-		cuts := []float64{0, 1}
-		for i, n := 0, rng.Intn(5); i < n; i++ {
-			cuts = append(cuts, rng.Float64())
-		}
-		if len(boundary) > 0 && rng.Intn(2) == 0 {
-			cuts = append(cuts, boundary[rng.Intn(len(boundary))])
-		}
-		// Insertion-sort the cut points (tiny n).
-		for i := 1; i < len(cuts); i++ {
-			for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
-				cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
-			}
-		}
-		var rules []RangeRule
-		for i := 0; i+1 < len(cuts); i++ {
-			// Real configs carry only Process/Replicate rules; hash ranges
-			// owned by other nodes are gaps, so model skips by omission.
-			switch rng.Intn(3) {
-			case 0:
-				rules = append(rules, RangeRule{Lo: cuts[i], Hi: cuts[i+1], Act: Process})
-			case 1:
-				rules = append(rules, RangeRule{Lo: cuts[i], Hi: cuts[i+1], Act: Replicate, Mirror: rng.Intn(8)})
-			}
-		}
-		cfg.Rules[key] = rules
+		cfg.Rules[key] = randomRules(rng, boundary)
 	}
 	return cfg
+}
+
+// randomRules tiles [0, 1) at random cut points (plus, half the time, one
+// boundary value) and gives each tile a random Process, Replicate or no
+// rule. Real configs carry only Process/Replicate rules; hash ranges owned
+// by other nodes are gaps, so skips are modeled by omission.
+func randomRules(rng *rand.Rand, boundary []float64) []RangeRule {
+	cuts := []float64{0, 1}
+	for i, n := 0, rng.Intn(5); i < n; i++ {
+		cuts = append(cuts, rng.Float64())
+	}
+	if len(boundary) > 0 && rng.Intn(2) == 0 {
+		cuts = append(cuts, boundary[rng.Intn(len(boundary))])
+	}
+	sort.Float64s(cuts)
+	var rules []RangeRule
+	for i := 0; i+1 < len(cuts); i++ {
+		switch rng.Intn(3) {
+		case 0:
+			rules = append(rules, RangeRule{Lo: cuts[i], Hi: cuts[i+1], Act: Process})
+		case 1:
+			rules = append(rules, RangeRule{Lo: cuts[i], Hi: cuts[i+1], Act: Replicate, Mirror: rng.Intn(8)})
+		}
+	}
+	return rules
+}
+
+// retile returns a config for cfg's node, seed and classes with fresh
+// random rules: the next epoch of a reconfiguration, ready to merge.
+func retile(rng *rand.Rand, cfg *Config, boundary []float64) *Config {
+	keys := make([]ClassKey, 0, len(cfg.Rules))
+	for key := range cfg.Rules {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return classIdx(keys[i]) < classIdx(keys[j]) })
+	next := &Config{NodeID: cfg.NodeID, Seed: cfg.Seed, Rules: map[ClassKey][]RangeRule{}}
+	for _, key := range keys {
+		next.Rules[key] = randomRules(rng, boundary)
+	}
+	return next
 }
 
 // randomPacket builds a packet whose PoPs land in the class space
@@ -176,102 +194,154 @@ func randomPacket(rng *rand.Rand) packet.Packet {
 	return p
 }
 
-// TestCompiledMatchesReferenceRandom differentially tests Shim.Decide
-// against ReferenceDecide (the executable float-path specification) over
-// random configs and packets. Rule bounds are seeded with exact packet
-// hash fractions so the >= Lo / < Hi equalities are hit, not just
-// straddled.
+// wantDecisions is the specification of DecideFlowInto on a config built
+// by MergeConfigs(prevs[0], prevs[1]) — or on a single config when one is
+// given: the deduplicated non-Skip ReferenceDecide results, in config
+// order.
+func wantDecisions(p packet.Packet, cfgs ...*Config) []Decision {
+	var want []Decision
+	for _, cfg := range cfgs {
+		d := ReferenceDecide(cfg, p)
+		if d.Act == Skip || (len(want) > 0 && want[0] == d) {
+			continue
+		}
+		want = append(want, d)
+	}
+	return want
+}
+
+// flowPacket returns the i-th packet of a flow whose first packet is
+// first: even packets travel first's direction, odd ones the reverse.
+func flowPacket(first packet.Packet, i int) packet.Packet {
+	if i%2 == 0 {
+		return first
+	}
+	return packet.Packet{Tuple: first.Tuple.Reverse(), Dir: 1 - first.Dir}
+}
+
+// checkFlow decides one n-packet flow twice: once with DecideFlowInto on
+// flow, once as n single-packet DecideAllInto calls on perPacket, over
+// both directions. Both must return want, and the two shims' counters must
+// stay equal.
+func checkFlow(t *testing.T, flow, perPacket *Shim, first packet.Packet, n int, want []Decision) {
+	t.Helper()
+	got := flow.DecideFlowInto(first, HashTuple(first.Tuple, flow.Config().Seed), n, nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecideFlowInto(%v, n=%d) = %+v, spec %+v", first.Tuple, n, got, want)
+	}
+	for i := 0; i < n; i++ {
+		p := flowPacket(first, i)
+		if single := perPacket.DecideAllInto(p, nil); !reflect.DeepEqual(single, want) {
+			t.Fatalf("DecideAllInto(%v) = %+v, spec %+v", p.Tuple, single, want)
+		}
+	}
+	if flow.Counters != perPacket.Counters {
+		t.Fatalf("n=%d: counters diverged:\nflow       %+v\nper-packet %+v", n, flow.Counters, perPacket.Counters)
+	}
+	if !flow.Counters.Reconciled() {
+		t.Fatalf("counters not reconciled: %+v", flow.Counters)
+	}
+}
+
+// randomFlows draws 64 packets and the hash fractions of their tuples
+// under seed, to seed rule bounds with exact packet hashes so the >= Lo /
+// < Hi equalities are hit, not just straddled.
+func randomFlows(rng *rand.Rand, seed uint32) (pkts []packet.Packet, boundary []float64) {
+	pkts = make([]packet.Packet, 64)
+	for i := range pkts {
+		pkts[i] = randomPacket(rng)
+		boundary = append(boundary, HashFraction(pkts[i].Tuple, seed))
+	}
+	return pkts, boundary
+}
+
+// TestCompiledMatchesReferenceRandom differentially tests the decision
+// kernel against ReferenceDecide (the executable float-path specification)
+// over random single configs: DecideFlowInto for an n-packet flow returns
+// [ReferenceDecide] (nothing for Skip), and its counters equal those of n
+// single-packet calls.
 func TestCompiledMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		pkts := make([]packet.Packet, 64)
 		seed := uint32(rng.Int31())
-		boundary := make([]float64, 0, len(pkts))
-		for i := range pkts {
-			pkts[i] = randomPacket(rng)
-			boundary = append(boundary, HashFraction(pkts[i].Tuple, seed))
-		}
+		pkts, boundary := randomFlows(rng, seed)
 		cfg := randomConfig(rng, 1+rng.Intn(6), boundary)
 		cfg.Seed = seed
-		s := New(cfg)
+		flow, perPacket := New(cfg), New(cfg)
 		for _, p := range pkts {
-			got := s.Decide(p)
-			want := ReferenceDecide(cfg, p)
-			if got.Act != want.Act || (got.Act == Replicate && got.Mirror != want.Mirror) {
-				t.Fatalf("trial %d: Decide(%v) = %+v, ReferenceDecide = %+v (seed %d)",
-					trial, p.Tuple, got, want, seed)
-			}
-		}
-		if !s.Counters.Reconciled() {
-			t.Fatalf("trial %d: counters not reconciled: %+v", trial, s.Counters)
+			checkFlow(t, flow, perPacket, p, 1+rng.Intn(7), wantDecisions(p, cfg))
 		}
 	}
 }
 
-// TestDecideFlowMatchesPerPacketDecide checks the per-flow fast path: one
-// DecideFlow call for an n-packet session must return the same decision
-// and advance every counter exactly as n per-packet Decide calls, for
-// both directions' packets of the session.
-func TestDecideFlowMatchesPerPacketDecide(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// TestDecideFlowIntoMergedMatchesReference is the §9 half of the kernel's
+// specification: on MergeConfigs of two random tilings sharing one seed,
+// DecideFlowInto returns the deduplicated non-Skip [ReferenceDecide(prev),
+// ReferenceDecide(next)], with Dual = n·(len−1) and every other counter
+// equal to n single-packet calls.
+func TestDecideFlowIntoMergedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var duals, dedups int
 	for trial := 0; trial < 50; trial++ {
-		cfg := randomConfig(rng, 1+rng.Intn(6), nil)
-		perPacket, flow := New(cfg), New(cfg)
-		for sess := 0; sess < 32; sess++ {
-			first := randomPacket(rng)
+		seed := uint32(rng.Int31())
+		pkts, boundary := randomFlows(rng, seed)
+		prev := randomConfig(rng, 1+rng.Intn(6), boundary)
+		prev.Seed = seed
+		next := retile(rng, prev, boundary)
+		merged, err := MergeConfigs(prev, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flow, perPacket := New(merged), New(merged)
+		for _, p := range pkts {
 			n := 1 + rng.Intn(7)
-			var dec Decision
-			for i := 0; i < n; i++ {
-				p := first
-				if i%2 == 1 {
-					p = packet.Packet{Tuple: first.Tuple.Reverse(), Dir: 1 - first.Dir}
-				}
-				d := perPacket.Decide(p)
-				if i == 0 {
-					dec = d
-				} else if d != dec {
-					t.Fatalf("trial %d: per-packet decision drifted within a session: %+v then %+v", trial, dec, d)
-				}
+			want := wantDecisions(p, prev, next)
+			dual := flow.Counters.Dual
+			checkFlow(t, flow, perPacket, p, n, want)
+			if len(want) == 2 {
+				duals++
 			}
-			got := flow.DecideFlow(first, flow.Hash(first), n)
-			if got != dec {
-				t.Fatalf("trial %d: DecideFlow = %+v, per-packet Decide = %+v", trial, got, dec)
+			if a, b := ReferenceDecide(prev, p), ReferenceDecide(next, p); a.Act != Skip && a == b {
+				dedups++
+			}
+			if wantDual := uint64(n * max(len(want)-1, 0)); flow.Counters.Dual-dual != wantDual {
+				t.Fatalf("n=%d, %d decisions: Dual advanced %d, want %d", n, len(want), flow.Counters.Dual-dual, wantDual)
 			}
 		}
-		if perPacket.Counters != flow.Counters {
-			t.Fatalf("trial %d: counters diverged:\nper-packet %+v\nflow       %+v",
-				trial, perPacket.Counters, flow.Counters)
-		}
+	}
+	if duals == 0 || dedups == 0 {
+		t.Fatalf("vacuous: %d two-decision flows, %d deduplicated ones", duals, dedups)
 	}
 }
 
 // TestHotPathAllocFree pins the zero-allocation contract of every
 // annotated //nwids:hotpath entry point with testing.AllocsPerRun — the
-// dynamic complement to the hotalloc lint rule.
+// dynamic complement to the hotalloc lint rule. The shim runs a merged
+// transition config, so the two-decision path is measured too.
 func TestHotPathAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := randomConfig(rng, 8, nil)
-	s := New(cfg)
+	merged, err := MergeConfigs(cfg, retile(rng, cfg, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(merged)
 	pkts := make([]packet.Packet, 32)
 	hashes := make([]uint64, len(pkts))
 	for i := range pkts {
 		pkts[i] = randomPacket(rng)
-		hashes[i] = s.Hash(pkts[i])
+		hashes[i] = HashTuple(pkts[i].Tuple, cfg.Seed)
 	}
-	decBuf := make([]Decision, 0, len(pkts))
+	decBuf := make([]Decision, 0, 2*len(pkts))
 
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"Decide", func() {
-			for _, p := range pkts {
-				s.Decide(p)
-			}
-		}},
-		{"DecideHashed", func() {
+		{"DecideFlowInto", func() {
+			decBuf = decBuf[:0]
 			for i, p := range pkts {
-				s.DecideHashed(p, hashes[i])
+				decBuf = s.DecideFlowInto(p, hashes[i], 4, decBuf)
 			}
 		}},
 		{"DecideFlow", func() {
@@ -279,8 +349,6 @@ func TestHotPathAllocFree(t *testing.T) {
 				s.DecideFlow(p, hashes[i], 4)
 			}
 		}},
-		{"DecideBatch", func() { decBuf = s.DecideBatch(pkts, decBuf[:0]) }},
-		{"DecideBatchHashed", func() { decBuf = s.DecideBatchHashed(pkts, hashes, decBuf[:0]) }},
 		{"DecideAllInto", func() {
 			for _, p := range pkts {
 				decBuf = s.DecideAllInto(p, decBuf[:0])

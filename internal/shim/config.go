@@ -91,16 +91,7 @@ const PartitionTolerance = 1e-9
 // uncovered interior ranges.
 func PartitionClass(actions []core.ActionFrac) []OwnedRange {
 	acts := append([]core.ActionFrac(nil), actions...)
-	sort.SliceStable(acts, func(i, j int) bool {
-		li, lj := acts[i].Via >= 0, acts[j].Via >= 0
-		if li != lj {
-			return !li // local p ranges first
-		}
-		if acts[i].Node != acts[j].Node {
-			return acts[i].Node < acts[j].Node
-		}
-		return acts[i].Via < acts[j].Via
-	})
+	SortActions(acts)
 	sum := 0.0
 	for _, a := range acts {
 		if a.Frac > 0 {

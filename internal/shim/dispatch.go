@@ -68,8 +68,8 @@ func (c Counters) Reconciled() bool {
 // Shim executes a Config: it hashes each packet's canonical 5-tuple, looks
 // up the owning hash range for the packet's class, and decides whether to
 // hand the packet to the local NIDS, replicate it to a mirror, or skip it.
-// Shims are deterministic and safe for concurrent use only if counters can
-// race; the emulation uses one goroutine per shim.
+// Shims are deterministic but not safe for concurrent use: a decision
+// writes the counters. The emulation drives each shim from one goroutine.
 type Shim struct {
 	cfg      *Config
 	comp     *compiled
@@ -117,111 +117,68 @@ func (s *Shim) CheckConfig(cfg *Config) error {
 	return nil
 }
 
-// Decide classifies one packet. The hash is computed on the canonical
-// tuple, so both directions of a session always land in the same range and
-// are pinned to the same processing node. The lookup runs on the compiled
-// dispatch table — one index into a class-ID-addressed CSR array, then a
-// linear scan of exact uint64 bounds (rules are few per class; linear scan
-// beats binary search at this size) — and allocates nothing.
+// DecideFlowInto appends every decision the configuration prescribes for
+// an n-packet run of one flow to out and returns it; nothing appended means
+// Skip. p is any packet of the flow and u must equal HashTuple(p.Tuple,
+// seed). The class key and the session hash are direction-independent, so
+// one lookup holds for every packet of the flow, in either direction.
+//
+// Every matching Process or Replicate rule contributes, in rule order, with
+// identical decisions deduplicated: under a single configuration ranges are
+// disjoint and at most one decision comes out; under a merged §9 transition
+// configuration the old and the new owner can both match. Counters advance
+// as if each of the n packets were decided alone: Processed or Replicated
+// by n per decision (work performed, not rules matched), Skipped by n when
+// there is none, Dual by n per decision beyond the first.
 //
 //nwids:hotpath
-func (s *Shim) Decide(p packet.Packet) Decision {
-	return s.DecideHashed(p, HashTuple(p.Tuple, s.comp.seed))
-}
-
-// Hash returns the dispatch hash Decide computes internally for p. A
-// driver replaying one packet through many shims that share a hash seed
-// (the normal fleet configuration) can compute it once and dispatch with
-// DecideHashed, instead of paying the tuple hash once per node.
-func (s *Shim) Hash(p packet.Packet) uint64 { return HashTuple(p.Tuple, s.comp.seed) }
-
-// DecideHashed classifies one packet given its precomputed dispatch hash
-// (u must equal Hash(p); anything else silently misdispatches). Counters
-// advance exactly as in Decide.
-//
-//nwids:hotpath
-func (s *Shim) DecideHashed(p packet.Packet, u uint64) Decision {
-	s.Counters.Seen++
+func (s *Shim) DecideFlowInto(p packet.Packet, u uint64, n int, out []Decision) []Decision {
+	per := uint64(n)
+	s.Counters.Seen += per
 	c := s.comp
 	i := classIdx(KeyForPacket(p))
 	if i+1 >= len(c.off) || !c.hasClass(i) {
-		s.Counters.NoClass++
-		s.Counters.Skipped++
-		return Decision{Act: Skip}
+		s.Counters.NoClass += per
+		s.Counters.Skipped += per
+		return out
 	}
+	base := len(out)
+rules:
 	for k := c.off[i]; k < c.off[i+1]; k++ {
 		r := &c.rules[k]
-		if u >= r.lo && u < r.hi {
-			switch r.act {
-			case Process:
-				s.Counters.Processed++
-			case Replicate:
-				s.Counters.Replicated++
+		if u < r.lo || u >= r.hi || (r.act != Process && r.act != Replicate) {
+			continue
+		}
+		d := Decision{Act: r.act, Mirror: int(r.mirror)}
+		for _, have := range out[base:] {
+			if have == d {
+				continue rules
 			}
-			return Decision{Act: r.act, Mirror: int(r.mirror)}
+		}
+		out = append(out, d)
+		if d.Act == Process {
+			s.Counters.Processed += per
+		} else {
+			s.Counters.Replicated += per
 		}
 	}
-	s.Counters.Skipped++
-	return Decision{Act: Skip}
-}
-
-// DecideBatch classifies a batch of packets, appending one Decision per
-// packet to out (pass a reused buffer, typically out[:0], for a
-// zero-allocation steady state). Counters advance exactly as if Decide had
-// been called per packet. The emulation's sharded driver and the tunnel
-// layer feed batches through this to amortize per-call overhead.
-//
-//nwids:hotpath
-func (s *Shim) DecideBatch(pkts []packet.Packet, out []Decision) []Decision {
-	for i := range pkts {
-		out = append(out, s.Decide(pkts[i]))
+	if emitted := len(out) - base; emitted == 0 {
+		s.Counters.Skipped += per
+	} else {
+		s.Counters.Dual += per * uint64(emitted-1)
 	}
 	return out
 }
 
-// DecideFlow classifies an n-packet run of one flow with a single lookup.
-// Dispatch is per-flow by construction — the class key and the session hash
-// are both direction-independent — so the decision for a flow's first
-// packet holds for every packet of the flow. Counters advance exactly as if
-// Decide had been called once per packet (u must equal Hash(p)). The
-// emulation driver uses this to decide each session once per path node
-// instead of once per (node, packet).
+// DecideFlow returns the first decision DecideFlowInto makes for the flow,
+// or Skip when it makes none; counters advance as DecideFlowInto's do.
+// Under a single configuration that first decision is the only one.
 //
 //nwids:hotpath
 func (s *Shim) DecideFlow(p packet.Packet, u uint64, n int) Decision {
-	s.Counters.Seen += uint64(n)
-	c := s.comp
-	i := classIdx(KeyForPacket(p))
-	if i+1 >= len(c.off) || !c.hasClass(i) {
-		s.Counters.NoClass += uint64(n)
-		s.Counters.Skipped += uint64(n)
-		return Decision{Act: Skip}
+	var buf [2]Decision
+	if out := s.DecideFlowInto(p, u, n, buf[:0]); len(out) > 0 {
+		return out[0]
 	}
-	for k := c.off[i]; k < c.off[i+1]; k++ {
-		r := &c.rules[k]
-		if u >= r.lo && u < r.hi {
-			switch r.act {
-			case Process:
-				s.Counters.Processed += uint64(n)
-			case Replicate:
-				s.Counters.Replicated += uint64(n)
-			}
-			return Decision{Act: r.act, Mirror: int(r.mirror)}
-		}
-	}
-	s.Counters.Skipped += uint64(n)
 	return Decision{Act: Skip}
-}
-
-// DecideBatchHashed is DecideBatch over precomputed dispatch hashes
-// (hashes[i] must equal Hash(pkts[i])). The emulation driver hashes each
-// session's packets once and replays them through every path node's shim,
-// cutting the per-(node, packet) hash to a per-packet one.
-//
-//nwids:hotpath
-func (s *Shim) DecideBatchHashed(pkts []packet.Packet, hashes []uint64, out []Decision) []Decision {
-	for i := range pkts {
-		out = append(out, s.DecideHashed(pkts[i], hashes[i]))
-	}
-	return out
 }

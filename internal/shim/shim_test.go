@@ -143,6 +143,11 @@ func TestShimExactlyOneOwner(t *testing.T) {
 	}
 }
 
+// decide is the shim's decision for one packet, Skip when it makes none.
+func decide(s *Shim, p packet.Packet) Decision {
+	return s.DecideFlow(p, HashTuple(p.Tuple, s.Config().Seed), 1)
+}
+
 // ownersOf walks one direction of a session along its path and collects the
 // set of NIDS nodes that would process it (locally or via replication).
 func ownersOf(t *testing.T, shims map[int]*Shim, routing *topology.Routing, sess packet.Session, dir packet.Direction) []int {
@@ -163,7 +168,7 @@ func ownersOf(t *testing.T, shims map[int]*Shim, routing *topology.Routing, sess
 	}
 	var owners []int
 	for _, node := range path.Nodes {
-		switch d := shims[node].Decide(p); d.Act {
+		switch d := decide(shims[node], p); d.Act {
 		case Process:
 			owners = append(owners, node)
 		case Replicate:
@@ -216,10 +221,10 @@ func TestShimCountersAndNoClass(t *testing.T) {
 	sh := New(cfg)
 	known := packet.Packet{Tuple: packet.FiveTuple{SrcIP: packet.PoPIP(1, 5), DstIP: packet.PoPIP(2, 5)}}
 	unknown := packet.Packet{Tuple: packet.FiveTuple{SrcIP: packet.PoPIP(9, 5), DstIP: packet.PoPIP(8, 5)}}
-	if d := sh.Decide(known); d.Act != Process {
+	if d := decide(sh, known); d.Act != Process {
 		t.Fatalf("known class should process, got %v", d.Act)
 	}
-	if d := sh.Decide(unknown); d.Act != Skip {
+	if d := decide(sh, unknown); d.Act != Skip {
 		t.Fatalf("unknown class should skip, got %v", d.Act)
 	}
 	if sh.Counters.Seen != 2 || sh.Counters.Processed != 1 || sh.Counters.Skipped != 1 || sh.Counters.NoClass != 1 {
@@ -354,7 +359,7 @@ func BenchmarkShimDecide(b *testing.B) {
 	p := sess.Packets[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.Decide(p)
+		sh.DecideFlow(p, HashTuple(p.Tuple, 42), 1)
 	}
 }
 

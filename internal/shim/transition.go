@@ -45,72 +45,12 @@ func MergeConfigs(prev, next *Config) (*Config, error) {
 	return out, nil
 }
 
-// DecideAll returns every action the shim's configuration prescribes for
-// the packet. Under a single (non-transition) configuration ranges are
-// disjoint and at most one action matches; under a merged transition
-// configuration both the old and the new owner ranges can match, and the
-// shim performs all of them.
-//
-// Counters are charged per emitted Decision, after deduplication: Processed
-// plus Replicated always equals the total number of decisions returned, so
-// the load the controller reads during a transition reflects work actually
-// performed, not how many overlapping rules happened to match. Decisions
-// beyond the first for one packet are additionally tallied in Dual, keeping
-// the Seen + Dual = Processed + Replicated + Skipped identity exact under
-// merged configurations (see Counters.Reconciled).
-func (s *Shim) DecideAll(p packet.Packet) []Decision {
-	return s.DecideAllInto(p, nil)
-}
-
-// DecideAllInto is DecideAll appending into a caller-provided buffer
-// (typically buf[:0] of a reused slice) so the transition-window packet
-// path allocates nothing in steady state. The returned slice aliases buf's
-// array when capacity suffices.
+// DecideAllInto is DecideFlowInto for a single packet: it hashes p's tuple
+// under the configuration's seed and appends every prescribed decision to
+// out (typically buf[:0] of a reused slice, so the per-packet transition
+// path allocates nothing in steady state).
 //
 //nwids:hotpath
 func (s *Shim) DecideAllInto(p packet.Packet, out []Decision) []Decision {
-	s.Counters.Seen++
-	c := s.comp
-	i := classIdx(KeyForPacket(p))
-	if i+1 >= len(c.off) || !c.hasClass(i) {
-		s.Counters.NoClass++
-		s.Counters.Skipped++
-		return out
-	}
-	u := HashTuple(p.Tuple, c.seed)
-	base := len(out)
-	for k := c.off[i]; k < c.off[i+1]; k++ {
-		r := &c.rules[k]
-		if u >= r.lo && u < r.hi {
-			if r.act != Process && r.act != Replicate {
-				continue
-			}
-			d := Decision{Act: r.act, Mirror: int(r.mirror)}
-			dup := false
-			for _, have := range out[base:] {
-				if have == d {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, d)
-			}
-		}
-	}
-	emitted := out[base:]
-	for _, d := range emitted {
-		switch d.Act {
-		case Process:
-			s.Counters.Processed++
-		case Replicate:
-			s.Counters.Replicated++
-		}
-	}
-	if len(emitted) == 0 {
-		s.Counters.Skipped++
-	} else if len(emitted) > 1 {
-		s.Counters.Dual += uint64(len(emitted) - 1)
-	}
-	return out
+	return s.DecideFlowInto(p, HashTuple(p.Tuple, s.comp.seed), 1, out)
 }

@@ -67,7 +67,7 @@ func TestTransitionNeverDropsOwnership(t *testing.T) {
 		path := sc.Routing.Path(sess.SrcPoP, sess.DstPoP)
 		owners := map[int]bool{}
 		for _, node := range path.Nodes {
-			for _, d := range merged[node].DecideAll(p) {
+			for _, d := range merged[node].DecideAllInto(p, nil) {
 				switch d.Act {
 				case Process:
 					owners[node] = true
@@ -82,33 +82,6 @@ func TestTransitionNeverDropsOwnership(t *testing.T) {
 		// The union can legitimately have up to two owners (old + new).
 		if len(owners) > 2 {
 			t.Fatalf("session %v has %d owners; transition should duplicate at most once", sess.Tuple, len(owners))
-		}
-	}
-}
-
-func TestDecideAllSingleConfigMatchesDecide(t *testing.T) {
-	_, after := buildTwoAssignments(t)
-	cfgs := CompileConfigs(after, 3)
-	gen := packet.NewGenerator(packet.GeneratorConfig{PacketsPerSession: 2}, 4)
-	sc := after.Scenario
-	for trial := 0; trial < 500; trial++ {
-		cl := &sc.Classes[trial%len(sc.Classes)]
-		sess := gen.Session(cl.Src, cl.Dst)
-		p := sess.Packets[0]
-		for _, node := range cl.Path.Nodes {
-			a := New(cfgs[node])
-			b := New(cfgs[node])
-			single := a.Decide(p)
-			multi := b.DecideAll(p)
-			if single.Act == Skip {
-				if len(multi) != 0 {
-					t.Fatalf("Decide=skip but DecideAll=%v", multi)
-				}
-				continue
-			}
-			if len(multi) != 1 || multi[0] != single {
-				t.Fatalf("Decide=%v but DecideAll=%v", single, multi)
-			}
 		}
 	}
 }
@@ -175,7 +148,7 @@ func TestDecideAllCountersMatchDecisions(t *testing.T) {
 		sess := gen.Session(cl.Src, cl.Dst)
 		p := sess.Packets[0]
 		for _, node := range cl.Path.Nodes {
-			out := merged[node].DecideAll(p)
+			out := merged[node].DecideAllInto(p, nil)
 			decisions += uint64(len(out))
 			for _, d := range out {
 				switch d.Act {
@@ -245,7 +218,7 @@ func TestTransitionInterleavings(t *testing.T) {
 			if !ok {
 				continue
 			}
-			for _, d := range New(cfg).DecideAll(p) {
+			for _, d := range New(cfg).DecideAllInto(p, nil) {
 				switch d.Act {
 				case Process:
 					owners[node] = true
@@ -373,7 +346,7 @@ func TestTransitionInterleavingDetectionParity(t *testing.T) {
 					// forward path for both directions.
 					for _, node := range path {
 						sh := shims[node]
-						for _, d := range sh.DecideAll(p) {
+						for _, d := range sh.DecideAllInto(p, nil) {
 							switch d.Act {
 							case Process:
 								engines[node].ProcessPacket(p)
