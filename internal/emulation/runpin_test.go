@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nwids/internal/controller"
 	"nwids/internal/core"
 	"nwids/internal/obs"
 	"nwids/internal/topology"
@@ -111,6 +112,60 @@ func TestRunDriftPinned(t *testing.T) {
 	if got := driftFingerprint(res); got != driftPin {
 		t.Errorf("drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
 			got, driftPin, len(res.Timeline), len(res.Reconfigs), res.SessionsMoved)
+	}
+}
+
+// driftPins pins the drift presets and planners TestRunDriftPinned does
+// not reach, by driftFullFingerprint. Keys are subtest names. They were
+// recorded while RunDrift still generated its whole trace up front and
+// counted churn session by session at every proposal.
+var driftPins = map[string]string{
+	"diurnal":     "93e4787f5961c162",
+	"drain":       "7418a1e0aa79bf20",
+	"flash-naive": "f84d301aaa1def59",
+	"flash-1000":  "f94773f9eca90619",
+}
+
+// driftFullFingerprint extends driftFingerprint with the session and
+// detection counts.
+func driftFullFingerprint(res *DriftResult) string {
+	return fnvHex([]byte(fmt.Sprintf("%s %d %d %d %d %d %d %d %d", driftFingerprint(res),
+		res.Sessions, res.DriftEvents, res.MaliciousSessions, res.OracleDetected,
+		res.FleetDetected, res.Missed, res.OwnershipErrors, len(res.Reconfigs))))
+}
+
+// TestRunDriftPinnedScenarios pins the diurnal cycle and the rolling drain
+// (whose operator-triggered re-solves take the Reconfigure and CapScale
+// paths), the flash crowd under the naive planner (every class changes at
+// every reconfiguration), and a longer flash crowd whose proposals land at
+// arbitrary session indices across many generator batches.
+func TestRunDriftPinnedScenarios(t *testing.T) {
+	cases := []struct {
+		name, scenario   string
+		sessionsPerPhase int
+		planner          controller.Planner
+	}{
+		{"diurnal", "diurnal", 300, nil},
+		{"drain", "drain", 300, nil},
+		{"flash-naive", "flash", 300, controller.NaivePlanner{}},
+		{"flash-1000", "flash", 1000, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := DriftScenario(tc.scenario, topology.Internet2(), tc.sessionsPerPhase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Planner = tc.planner
+			res, err := RunDrift(*cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := driftFullFingerprint(res); got != driftPins[tc.name] {
+				t.Errorf("drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
+					got, driftPins[tc.name], len(res.Timeline), len(res.Reconfigs), res.SessionsMoved)
+			}
+		})
 	}
 }
 
