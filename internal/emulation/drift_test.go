@@ -2,7 +2,9 @@ package emulation
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"nwids/internal/controller"
 	"nwids/internal/obs"
@@ -156,5 +158,41 @@ func TestRunDriftDrainShedsLoad(t *testing.T) {
 	}
 	if operator == 0 {
 		t.Fatalf("no operator-triggered reconfiguration committed (reconfigs: %+v)", res.Reconfigs)
+	}
+}
+
+// TestRunDriftJoinsGoroutines: RunDrift's producer and oracle goroutines
+// are joined on every return path, whether the run succeeds or
+// controller.New fails while the producer is blocked on a full channel.
+func TestRunDriftJoinsGoroutines(t *testing.T) {
+	settled := func(base int) int {
+		// wg.Wait returns once both goroutines have called Done, which is a
+		// moment before they have exited.
+		n := runtime.NumGoroutine()
+		for i := 0; i < 500 && n > base; i++ {
+			time.Sleep(2 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	base := runtime.NumGoroutine()
+
+	if res := runDriftScenario(t, "flash", nil); res.Sessions == 0 {
+		t.Fatal("run walked no sessions")
+	}
+	if n := settled(base); n != base {
+		t.Errorf("after a successful run: %d goroutines, want %d", n, base)
+	}
+
+	cfg, err := DriftScenario("flash", topology.Internet2(), 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Replication.LP.MaxIterations = 1
+	if _, err := RunDrift(*cfg); err == nil {
+		t.Fatal("RunDrift succeeded with a one-pivot LP budget; want controller.New to fail")
+	}
+	if n := settled(base); n != base {
+		t.Errorf("after a failed run: %d goroutines, want %d", n, base)
 	}
 }

@@ -279,30 +279,55 @@ func (g *Generator) fill(b []byte) {
 
 // Matrix generates sessionsPerPair[i][j] sessions for every PoP pair,
 // returning them in a deterministic interleaved injection order (round-robin
-// across pairs, preserving intra-session order downstream).
+// across pairs, preserving intra-session order downstream). It collects
+// StreamMatrix.
 func (g *Generator) Matrix(sessionsPerPair [][]int) []Session {
+	out := make([]Session, 0, max(pairTotal(sessionsPerPair), 0))
+	g.StreamMatrix(sessionsPerPair, func(s Session) bool {
+		out = append(out, s)
+		return true
+	})
+	return out
+}
+
+// StreamMatrix generates the sessions Matrix returns, in the same order,
+// handing each to yield as soon as it is made instead of collecting them;
+// it stops early when yield returns false. The generator keeps no
+// reference to a session once yield has it, so the caller bounds the
+// memory a trace of any length takes.
+func (g *Generator) StreamMatrix(sessionsPerPair [][]int, yield func(Session) bool) {
 	n := len(sessionsPerPair)
-	remaining := 0
 	counts := make([][]int, n)
 	for i := range counts {
 		counts[i] = append([]int(nil), sessionsPerPair[i]...)
-		for _, c := range counts[i] {
-			remaining += c
-		}
 	}
-	out := make([]Session, 0, max(remaining, 0))
-	for remaining > 0 {
+	// remaining is the plain sum, negative entries included, and is checked
+	// only between round-robin sweeps: a negative count can end the trace
+	// early, but never in the middle of a sweep.
+	for remaining := pairTotal(sessionsPerPair); remaining > 0; {
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				if counts[a][b] > 0 {
 					counts[a][b]--
 					remaining--
-					out = append(out, g.Session(a, b))
+					if !yield(g.Session(a, b)) {
+						return
+					}
 				}
 			}
 		}
 	}
-	return out
+}
+
+// pairTotal sums a session-count matrix.
+func pairTotal(sessionsPerPair [][]int) int {
+	total := 0
+	for _, row := range sessionsPerPair {
+		for _, c := range row {
+			total += c
+		}
+	}
+	return total
 }
 
 // ScanSessions synthesizes a scanner: a single source at srcPoP contacting

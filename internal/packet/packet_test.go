@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -362,6 +363,95 @@ func TestGeneratorMatrix(t *testing.T) {
 	// Round-robin interleaving: the first sessions cycle across pairs.
 	if out[0].SrcPoP == out[1].SrcPoP && out[0].DstPoP == out[1].DstPoP {
 		t.Fatal("matrix generation should interleave pairs")
+	}
+}
+
+// referenceMatrix is Matrix as it was written before it collected
+// StreamMatrix: an eager round-robin loop appending to one slice.
+func referenceMatrix(g *Generator, sessionsPerPair [][]int) []Session {
+	n := len(sessionsPerPair)
+	remaining := 0
+	counts := make([][]int, n)
+	for i := range counts {
+		counts[i] = append([]int(nil), sessionsPerPair[i]...)
+		for _, c := range counts[i] {
+			remaining += c
+		}
+	}
+	out := make([]Session, 0, max(remaining, 0))
+	for remaining > 0 {
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				if counts[a][b] > 0 {
+					counts[a][b]--
+					remaining--
+					out = append(out, g.Session(a, b))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestStreamMatrixMatchesMatrix: for several seeds and count matrices
+// (zero, negative and empty ones included), Matrix, the collected
+// StreamMatrix and the eager reference produce the same sessions byte for
+// byte and leave their generators at the same point of the stream; a
+// stream stopped early yields a prefix of the same trace.
+func TestStreamMatrixMatchesMatrix(t *testing.T) {
+	cfg := GeneratorConfig{
+		PacketsPerSession: 4, PayloadBytes: 48, MaliciousFraction: 0.3,
+		Signatures: [][]byte{[]byte("attack-one"), []byte("exploit")},
+	}
+	matrices := [][][]int{
+		{{0, 2, 1}, {0, 0, 3}, {1, 0, 0}},
+		{{5}},
+		{{0, 0}, {0, 0}},
+		{},
+		{{2, -1}, {1, 0}},
+		{{1, 1}, {-1, 0}},
+		{{-3, 4, 0}, {2, 0, -1}, {0, 7, 1}},
+		{{3, 0, 0, 9}, {0, 1, 0, 0}, {4, 0, 0, 2}, {0, 0, 6, 0}},
+	}
+	for _, seed := range []int64{1, 2, 7, 511} {
+		for mi, counts := range matrices {
+			ref := NewGenerator(cfg, seed)
+			want := referenceMatrix(ref, counts)
+
+			mat := NewGenerator(cfg, seed)
+			if got := mat.Matrix(counts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d matrix %d: Matrix differs from the reference (%d vs %d sessions)",
+					seed, mi, len(got), len(want))
+			}
+			str := NewGenerator(cfg, seed)
+			var got []Session
+			str.StreamMatrix(counts, func(s Session) bool {
+				got = append(got, s)
+				return true
+			})
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("seed %d matrix %d: stream differs from the reference (%d vs %d sessions)",
+					seed, mi, len(got), len(want))
+			}
+			next := ref.Session(0, 0)
+			if !reflect.DeepEqual(mat.Session(0, 0), next) || !reflect.DeepEqual(str.Session(0, 0), next) {
+				t.Fatalf("seed %d matrix %d: generators end at different stream positions", seed, mi)
+			}
+
+			if len(want) < 2 {
+				continue
+			}
+			stop := len(want) / 2
+			var prefix []Session
+			NewGenerator(cfg, seed).StreamMatrix(counts, func(s Session) bool {
+				prefix = append(prefix, s)
+				return len(prefix) < stop
+			})
+			if !reflect.DeepEqual(prefix, want[:stop]) {
+				t.Fatalf("seed %d matrix %d: stream stopped after %d sessions yielded %d, or different ones",
+					seed, mi, stop, len(prefix))
+			}
+		}
 	}
 }
 
