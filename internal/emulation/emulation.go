@@ -10,6 +10,7 @@
 package emulation
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -161,6 +162,21 @@ func (r *Result) TotalWork() uint64 {
 }
 
 // Run executes the emulation and returns per-node statistics.
+//
+// The trace is streamed, never held. A producer goroutine owns the trace
+// generator and sends the sessions in batches over one bounded channel
+// (streamPhases, the producer RunDrift uses); the calling goroutine walks
+// each batch through the fleet as it arrives, so generation overlaps the
+// walk and a payload is scanned soon after it is written. The producer
+// starts before the fleet is built. It is the only goroutine that touches
+// the generator, and a sent batch is read-only, so the walk sees the
+// sessions GenerateWorkload returns, in the same order; the walk, the
+// telemetry, the engine feed, the workers and the live tunnels are as
+// they would be over that slice. The Result, timeline and trace are
+// therefore the same function of the seeds at any Workers and in live
+// mode. Of each session the run keeps nothing but, in live mode, the
+// canonical tuple of a malicious one. Every return path joins the
+// producer.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	a := cfg.Assignment
@@ -169,6 +185,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sc := a.Scenario
 	nNIDS := a.NumNIDS()
+
+	counts, total, gen := workload(cfg)
+	batches := make(chan sessionBatch, streamBatchDepth)
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	spawn(&wg, func() { streamPhases(gen, [][][]int{counts}, quit, batches) })
+	defer func() {
+		close(quit)
+		wg.Wait()
+	}()
 
 	cfgs := shim.CompileConfigs(a, cfg.HashSeed)
 	shims := make([]*shim.Shim, nNIDS)
@@ -233,9 +259,8 @@ func Run(cfg Config) (*Result, error) {
 		return tb.send(from, to, p)
 	}
 
-	sessions := GenerateWorkload(cfg)
 	cfg.Log.Debug("emulation start",
-		"topology", sc.Graph.Name(), "nodes", nNIDS, "sessions", len(sessions), "live", cfg.Live)
+		"topology", sc.Graph.Name(), "nodes", nNIDS, "sessions", total, "live", cfg.Live)
 
 	// Telemetry: the virtual clock ticks per unit of simulated work, the
 	// tick recorder samples per-node and per-class load into timeline
@@ -248,10 +273,10 @@ func Run(cfg Config) (*Result, error) {
 		},
 		func(j int) shim.Counters { return shims[j].Counters })
 	runSpan := cfg.Trace.StartSpan("emulation.run").
-		Arg("topology", sc.Graph.Name()).Arg("sessions", len(sessions))
+		Arg("topology", sc.Graph.Name()).Arg("sessions", total)
 	defer runSpan.End()
 
-	res := &Result{Sessions: len(sessions)}
+	res := &Result{Sessions: total}
 	preAlerts := make([]int, nNIDS)
 	w := newSessionWalk(shims, cfg.HashSeed, cfg.Clock, nNIDS)
 	act := func(node int, d shim.Decision, p packet.Packet) error {
@@ -262,44 +287,55 @@ func Run(cfg Config) (*Result, error) {
 		return nil
 	}
 
-	for si := range sessions {
-		sess := &sessions[si]
-		if sess.Malicious {
-			res.MaliciousSessions++
-		}
-		var sessSpan *obs.TraceSpan // nil past the traced prefix; nil-safe
-		if si < cfg.TraceSessions {
-			sessSpan = runSpan.Child("session").
-				Arg("session", si).Arg("src", sess.SrcPoP).Arg("dst", sess.DstPoP)
-		}
-		owners, err := w.walk(sess, sc.Routing.Path(sess.SrcPoP, sess.DstPoP).Nodes, sessSpan, act)
-		if err != nil {
-			return nil, err
-		}
-		sessSpan.End()
-		tel.addClassBytes(sess.SrcPoP, sess.DstPoP, payloadBytes(sess))
-		if tel.willTick(si) {
-			// The tick samples engine work counters; drain the shards first
-			// so the sampled values match the inline path's.
-			feed.drainAll()
-		}
-		tel.sessionDone(si)
-		if len(owners) != 1 {
-			res.OwnershipErrors++
-		}
-		// Detection check: the owning node's alert count must grow for a
-		// malicious session. In live mode this is checked after draining.
-		if !cfg.Live && sess.Malicious {
-			for _, node := range owners {
-				feed.drain(node)
-				engMu[node].Lock()
-				n := len(engines[node].Alerts())
-				engMu[node].Unlock()
-				if n > preAlerts[node] {
-					res.DetectedSessions++
+	// malicious holds the canonical tuples of the malicious sessions, for
+	// live mode's post-drain detection count.
+	var malicious []packet.FiveTuple
+	si := 0
+	for b := range batches {
+		for i := range b.sessions {
+			sess := &b.sessions[i]
+			if sess.Malicious {
+				res.MaliciousSessions++
+				if cfg.Live {
+					malicious = append(malicious, sess.Tuple.Canonical())
 				}
-				preAlerts[node] = n
 			}
+			var sessSpan *obs.TraceSpan // nil past the traced prefix; nil-safe
+			if si < cfg.TraceSessions {
+				sessSpan = runSpan.Child("session").
+					Arg("session", si).Arg("src", sess.SrcPoP).Arg("dst", sess.DstPoP)
+			}
+			owners, err := w.walk(sess, sc.Routing.Path(sess.SrcPoP, sess.DstPoP).Nodes, sessSpan, act)
+			if err != nil {
+				return nil, err
+			}
+			sessSpan.End()
+			tel.addClassBytes(sess.SrcPoP, sess.DstPoP, payloadBytes(sess))
+			if tel.willTick(si) {
+				// The tick samples engine work counters; drain the shards
+				// first so the sampled values match the inline path's.
+				feed.drainAll()
+			}
+			tel.sessionDone(si)
+			if len(owners) != 1 {
+				res.OwnershipErrors++
+			}
+			// Detection check: the owning node's alert count must grow for
+			// a malicious session. In live mode this is checked after
+			// draining.
+			if !cfg.Live && sess.Malicious {
+				for _, node := range owners {
+					feed.drain(node)
+					engMu[node].Lock()
+					n := len(engines[node].Alerts())
+					engMu[node].Unlock()
+					if n > preAlerts[node] {
+						res.DetectedSessions++
+					}
+					preAlerts[node] = n
+				}
+			}
+			si++
 		}
 	}
 
@@ -330,8 +366,8 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		// Count detected malicious sessions post-hoc by matching alert
-		// tuples against the generated sessions (the supernode knows which
-		// sessions were malicious).
+		// tuples against the malicious sessions' tuples (the supernode
+		// knows which sessions were malicious).
 		detected := make(map[packet.FiveTuple]bool)
 		for j := range engines {
 			engMu[j].Lock()
@@ -340,8 +376,8 @@ func Run(cfg Config) (*Result, error) {
 			}
 			engMu[j].Unlock()
 		}
-		for _, sess := range sessions {
-			if sess.Malicious && detected[sess.Tuple.Canonical()] {
+		for _, tu := range malicious {
+			if detected[tu] {
 				res.DetectedSessions++
 			}
 		}
@@ -350,7 +386,7 @@ func Run(cfg Config) (*Result, error) {
 	// Every enqueued packet must be applied before the trailing tick and
 	// the final stats read.
 	feed.stop()
-	tel.finish(len(sessions))
+	tel.finish(res.Sessions)
 
 	agg := runSpan.Child("aggregation")
 	defer agg.End()
@@ -415,25 +451,39 @@ func recordMetrics(reg *obs.Registry, res *Result, shims []*shim.Shim) {
 // GenerateWorkload produces the deterministic session trace Run would
 // replay for this configuration (same seed → byte-identical sessions).
 func GenerateWorkload(cfg Config) []packet.Session {
-	cfg = cfg.withDefaults()
-	counts := sessionCounts(cfg.Assignment.Scenario, cfg.TotalSessions)
-	gen := packet.NewGenerator(packet.GeneratorConfig{
+	counts, _, gen := workload(cfg.withDefaults())
+	return gen.Matrix(counts)
+}
+
+// workload returns the per-class session counts of cfg's trace, their sum
+// and the generator that makes the trace; cfg must have its defaults. It
+// is the one recipe for the trace, so Run streams exactly what
+// GenerateWorkload returns and SaveTrace writes.
+func workload(cfg Config) (counts [][]int, total int, gen *packet.Generator) {
+	counts = sessionCounts(cfg.Assignment.Scenario, cfg.TotalSessions)
+	for _, row := range counts {
+		for _, c := range row {
+			total += c
+		}
+	}
+	gen = packet.NewGenerator(packet.GeneratorConfig{
 		PacketsPerSession: cfg.PacketsPerSession,
 		PayloadBytes:      cfg.PayloadBytes,
 		MaliciousFraction: cfg.MaliciousFraction,
 		Signatures:        sigsOf(cfg.Rules),
 	}, cfg.GenSeed)
-	return gen.Matrix(counts)
+	return counts, total, gen
 }
 
 // SaveTrace writes the workload Run(assignment, totalSessions, seed) would
-// replay to a trace file (packet.WriteTrace format).
-func SaveTrace(path string, a *core.Assignment, totalSessions int, seed int64) error {
+// replay to a trace file (packet.WriteTrace format). A failure to close
+// the file is reported, since it can lose written data.
+func SaveTrace(path string, a *core.Assignment, totalSessions int, seed int64) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() { err = errors.Join(err, f.Close()) }()
 	sessions := GenerateWorkload(Config{Assignment: a, TotalSessions: totalSessions, GenSeed: seed})
 	return packet.WriteTrace(f, sessions)
 }

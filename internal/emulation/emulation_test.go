@@ -2,6 +2,7 @@ package emulation
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,6 +189,9 @@ func TestSessionCountsMinimumOne(t *testing.T) {
 	}
 }
 
+// TestSaveTraceRoundTrip: a saved trace reads back as exactly the
+// sessions GenerateWorkload makes — tuples, payload bytes, directions and
+// the planted-signature labels.
 func TestSaveTraceRoundTrip(t *testing.T) {
 	_, rep := internet2Assignments(t)
 	path := t.TempDir() + "/trace.nwt"
@@ -207,9 +211,33 @@ func TestSaveTraceRoundTrip(t *testing.T) {
 	if len(sessions) != len(want) {
 		t.Fatalf("trace has %d sessions, generator produced %d", len(sessions), len(want))
 	}
+	malicious := 0
 	for i := range sessions {
-		if sessions[i].Tuple != want[i].Tuple {
-			t.Fatalf("session %d differs from regenerated workload", i)
+		if !reflect.DeepEqual(sessions[i], want[i]) {
+			t.Fatalf("session %d differs from the regenerated workload:\n got %+v\nwant %+v", i, sessions[i], want[i])
 		}
+		if want[i].Malicious {
+			malicious++
+		}
+	}
+	if malicious == 0 {
+		t.Error("workload has no malicious session; the label comparison is vacuous")
+	}
+}
+
+// TestRunJoinsProducer: Run's producer goroutine has returned by the time
+// Run does. The run spans many batches, so the producer was still
+// generating while the walk ran.
+func TestRunJoinsProducer(t *testing.T) {
+	_, rep := internet2Assignments(t)
+	res, err := Run(Config{Assignment: rep, TotalSessions: 1000, PacketsPerSession: 2, PayloadBytes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sessions < 8*streamBatchSessions {
+		t.Fatalf("run walked %d sessions, want several batches", res.Sessions)
+	}
+	if n := pipelineBodies.Load(); n != 0 {
+		t.Errorf("after a successful run: %d pipeline bodies still running", n)
 	}
 }
