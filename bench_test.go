@@ -13,6 +13,7 @@ import (
 	"nwids"
 	"nwids/internal/core"
 	"nwids/internal/experiments"
+	"nwids/internal/packet"
 	"nwids/internal/topology"
 	"nwids/internal/traffic"
 )
@@ -24,10 +25,8 @@ func benchOpts() experiments.Options {
 // BenchmarkTable1 measures the replication-LP solve time per topology at
 // full evaluation scale — the quantity reported in Table 1.
 func BenchmarkTable1(b *testing.B) {
-	defer benchRecord(b)
 	for _, name := range topology.EvaluationNames() {
 		b.Run(name+"/replication", func(b *testing.B) {
-			defer benchRecord(b)
 			g := topology.ByName(name)
 			s := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
 			b.ResetTimer()
@@ -40,7 +39,6 @@ func BenchmarkTable1(b *testing.B) {
 			}
 		})
 		b.Run(name+"/aggregation", func(b *testing.B) {
-			defer benchRecord(b)
 			g := topology.ByName(name)
 			s := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
 			b.ResetTimer()
@@ -53,23 +51,22 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// benchWarmPair runs a cold/warm sub-benchmark pair and records the
-// observed cold/warm per-op ratio under bench.<name>.warm_speedup.
-func benchWarmPair(b *testing.B, name string, run func(b *testing.B, cold bool)) {
-	var coldSec, warmSec float64
+// benchWarmPair runs a cold/warm sub-benchmark pair and reports the
+// observed cold/warm per-op ratio as warm_speedup on the warm
+// sub-benchmark (go test prints no metric reported on a parent that has
+// sub-benchmarks).
+func benchWarmPair(b *testing.B, run func(b *testing.B, cold bool)) {
+	var coldSec float64
 	b.Run("cold", func(b *testing.B) {
-		defer benchRecord(b)
 		run(b, true)
 		coldSec = b.Elapsed().Seconds() / float64(b.N)
 	})
 	b.Run("warm", func(b *testing.B) {
-		defer benchRecord(b)
 		run(b, false)
-		warmSec = b.Elapsed().Seconds() / float64(b.N)
+		if warmSec := b.Elapsed().Seconds() / float64(b.N); coldSec > 0 && warmSec > 0 {
+			b.ReportMetric(coldSec/warmSec, "warm_speedup")
+		}
 	})
-	if coldSec > 0 && warmSec > 0 {
-		benchReg.Gauge("bench." + name + ".warm_speedup").Max(coldSec / warmSec)
-	}
 }
 
 // BenchmarkFig10 runs the Emulab-style emulation comparison (per-node work
@@ -77,9 +74,7 @@ func benchWarmPair(b *testing.B, name string, run func(b *testing.B, cold bool))
 // win: lp-warm re-solves Fig 10's replication LP through a solver handle
 // (the §3 controller re-running on the same model), lp-cold from scratch.
 func BenchmarkFig10(b *testing.B) {
-	defer benchRecord(b)
 	b.Run("emulation", func(b *testing.B) {
-		defer benchRecord(b)
 		for i := 0; i < b.N; i++ {
 			r, err := experiments.Fig10(experiments.Options{Quick: true})
 			if err != nil {
@@ -93,7 +88,7 @@ func BenchmarkFig10(b *testing.B) {
 	g := topology.ByName("Internet2")
 	s := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
 	cfg := core.ReplicationConfig{Mirror: core.MirrorDCOnly, DCCapacity: 8, MaxLinkLoad: 0.4}
-	benchWarmPair(b, "Fig10/lp", func(b *testing.B, cold bool) {
+	benchWarmPair(b, func(b *testing.B, cold bool) {
 		if cold {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.SolveReplication(s, cfg); err != nil {
@@ -118,8 +113,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 sweeps MaxLinkLoad (max compute load vs allowed link load)
 // with basis chaining along each topology's sweep, and cold per point.
 func BenchmarkFig11(b *testing.B) {
-	defer benchRecord(b)
-	benchWarmPair(b, "Fig11", func(b *testing.B, cold bool) {
+	benchWarmPair(b, func(b *testing.B, cold bool) {
 		opts := benchOpts()
 		opts.ColdLP = cold
 		for i := 0; i < b.N; i++ {
@@ -132,7 +126,6 @@ func BenchmarkFig11(b *testing.B) {
 
 // BenchmarkFig12 compares DC load to interior NIDS load across configs.
 func BenchmarkFig12(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig12(benchOpts()); err != nil {
 			b.Fatal(err)
@@ -142,7 +135,6 @@ func BenchmarkFig12(b *testing.B) {
 
 // BenchmarkFig13 compares the four NIDS architectures.
 func BenchmarkFig13(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig13(benchOpts()); err != nil {
 			b.Fatal(err)
@@ -152,7 +144,6 @@ func BenchmarkFig13(b *testing.B) {
 
 // BenchmarkFig14 compares local one-/two-hop replication to on-path.
 func BenchmarkFig14(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig14(benchOpts()); err != nil {
 			b.Fatal(err)
@@ -165,8 +156,7 @@ func BenchmarkFig14(b *testing.B) {
 // full density so the LP time dominates: warm chains each architecture's
 // basis across the matrix sequence, cold solves every point from scratch.
 func BenchmarkFig15(b *testing.B) {
-	defer benchRecord(b)
-	benchWarmPair(b, "Fig15", func(b *testing.B, cold bool) {
+	benchWarmPair(b, func(b *testing.B, cold bool) {
 		opts := experiments.Options{ColdLP: cold}
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.Fig15(opts); err != nil {
@@ -179,7 +169,6 @@ func BenchmarkFig15(b *testing.B) {
 // BenchmarkFig16 and BenchmarkFig17 share the asymmetric-routing sweep
 // (miss rate and max load vs overlap factor).
 func BenchmarkFig16(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig1617(experiments.Options{Quick: true}); err != nil {
 			b.Fatal(err)
@@ -190,7 +179,6 @@ func BenchmarkFig16(b *testing.B) {
 // BenchmarkFig17 is the load half of the shared sweep; kept separate so the
 // benchmark list maps one-to-one onto the paper's figures.
 func BenchmarkFig17(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig1617(experiments.Options{Quick: true})
 		if err != nil {
@@ -206,9 +194,7 @@ func BenchmarkFig17(b *testing.B) {
 // chains one AggregationSolver handle along Fig 18's β axis (SetBeta is a
 // pure objective rewrite), lp-cold rebuilds and solves from scratch per β.
 func BenchmarkFig18(b *testing.B) {
-	defer benchRecord(b)
 	b.Run("figure", func(b *testing.B) {
-		defer benchRecord(b)
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.Fig18(benchOpts()); err != nil {
 				b.Fatal(err)
@@ -218,7 +204,7 @@ func BenchmarkFig18(b *testing.B) {
 	g := topology.ByName("Internet2")
 	s := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
 	betas := []float64{0.1, 0.2, 0.5, 1, 2, 5, 10}
-	benchWarmPair(b, "Fig18/lp", func(b *testing.B, cold bool) {
+	benchWarmPair(b, func(b *testing.B, cold bool) {
 		if cold {
 			for i := 0; i < b.N; i++ {
 				for _, beta := range betas {
@@ -243,7 +229,6 @@ func BenchmarkFig18(b *testing.B) {
 
 // BenchmarkFig19 compares load imbalance with and without aggregation.
 func BenchmarkFig19(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig19(benchOpts()); err != nil {
 			b.Fatal(err)
@@ -253,7 +238,6 @@ func BenchmarkFig19(b *testing.B) {
 
 // BenchmarkPlacement compares the four DC placement strategies (§8.2).
 func BenchmarkPlacement(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Placement(experiments.Options{Topologies: []string{"Internet2"}}); err != nil {
 			b.Fatal(err)
@@ -266,7 +250,6 @@ func BenchmarkPlacement(b *testing.B) {
 // up to 1 Gbps; the analogous criterion here is decisions far faster than
 // packet inter-arrival at that rate (~80k packets/s for 1500B packets).
 func BenchmarkShimThroughput(b *testing.B) {
-	defer benchRecord(b)
 	sc := nwids.DefaultScenario(nwids.Internet2())
 	a, err := nwids.SolveReplication(sc, nwids.ReplicationConfig{
 		Mirror: nwids.MirrorDCOnly, MaxLinkLoad: 0.4, DCCapacity: 10,
@@ -287,7 +270,6 @@ func BenchmarkShimThroughput(b *testing.B) {
 
 // BenchmarkEmulation measures end-to-end emulation throughput.
 func BenchmarkEmulation(b *testing.B) {
-	defer benchRecord(b)
 	sc := nwids.DefaultScenario(nwids.Internet2())
 	a, err := nwids.SolveReplication(sc, nwids.ReplicationConfig{
 		Mirror: nwids.MirrorDCOnly, MaxLinkLoad: 0.4, DCCapacity: 8,
@@ -310,7 +292,6 @@ func BenchmarkEmulation(b *testing.B) {
 // BenchmarkAblation exercises the solver design-choice comparison from
 // DESIGN.md (crash basis, λ start, refactorization interval, presolve).
 func BenchmarkAblation(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Ablation(experiments.Options{Topologies: []string{"Internet2"}})
 		if err != nil {
@@ -324,7 +305,6 @@ func BenchmarkAblation(b *testing.B) {
 
 // BenchmarkRobustness exercises the §9 slack-provisioning comparison.
 func BenchmarkRobustness(b *testing.B) {
-	defer benchRecord(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Robustness(experiments.Options{Quick: true}); err != nil {
 			b.Fatal(err)
@@ -334,7 +314,6 @@ func BenchmarkRobustness(b *testing.B) {
 
 // BenchmarkScanAggregation runs end-to-end distributed scan detection.
 func BenchmarkScanAggregation(b *testing.B) {
-	defer benchRecord(b)
 	sc := nwids.DefaultScenario(nwids.Internet2())
 	agg, err := nwids.SolveAggregation(sc, nwids.AggregationConfig{Beta: 1})
 	if err != nil {
@@ -349,5 +328,19 @@ func BenchmarkScanAggregation(b *testing.B) {
 		if !res.Equivalent {
 			b.Fatal("distributed scan diverged from oracle")
 		}
+	}
+}
+
+// newBenchPacketGen returns a generator of realistic packets spanning many
+// classes for the shim-throughput benchmark.
+func newBenchPacketGen() func(n int) []packet.Packet {
+	gen := packet.NewGenerator(packet.GeneratorConfig{PacketsPerSession: 2, PayloadBytes: 64}, 1)
+	return func(n int) []packet.Packet {
+		var out []packet.Packet
+		for len(out) < n {
+			s := gen.Session(0, 1+len(out)%10)
+			out = append(out, s.Packets...)
+		}
+		return out[:n]
 	}
 }

@@ -32,7 +32,6 @@ func main() {
 	mll := flag.Float64("mll", 0.4, "max allowed link load")
 	live := flag.Bool("live", false, "replicate over real TCP tunnels")
 	workers := flag.Int("workers", 1, "engine worker shards (<=1 runs inline; output is identical at any count)")
-	loadgen := flag.Bool("loadgen", false, "wall-clock the run and report pps/Gbps (records bench.packetpath.* gauges)")
 	seed := flag.Int64("seed", 1, "trace generation seed")
 	saveTrace := flag.String("save-trace", "", "also write the generated session trace to this file")
 	verbose := flag.Bool("v", false, "log progress (JSONL on stderr)")
@@ -99,12 +98,7 @@ func main() {
 		Clock:         vc,
 		Trace:         tracer,
 	}
-	var res *emulation.Result
-	if *loadgen {
-		res, err = runLoadgen(runCfg, reg)
-	} else {
-		res, err = emulation.Run(runCfg)
-	}
+	res, err := emulation.Run(runCfg)
 	if err != nil {
 		log.Error("emulation failed", "err", err.Error())
 		os.Exit(1)

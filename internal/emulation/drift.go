@@ -424,13 +424,6 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		engines[node].ProcessPacket(p)
 		return nil
 	}
-	detectedBy := func(e *nids.Engine) map[packet.FiveTuple]bool {
-		out := make(map[packet.FiveTuple]bool)
-		for _, al := range e.Alerts() {
-			out[al.Tuple.Canonical()] = true
-		}
-		return out
-	}
 
 	for _, ph := range cfg.Phases {
 		event("phase", ph.Label)
@@ -532,13 +525,8 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	// flagged by some fleet engine. The producer has sent its last batch, so
 	// this wait is the oracle's join.
 	wg.Wait()
-	oracleHits := detectedBy(oracle)
-	fleetHits := make(map[packet.FiveTuple]bool)
-	for _, e := range engines {
-		for tu := range detectedBy(e) {
-			fleetHits[tu] = true
-		}
-	}
+	oracleHits := alertTuples(oracle)
+	fleetHits := alertTuples(engines...)
 	for _, can := range tuples {
 		if oracleHits[can] {
 			res.OracleDetected++

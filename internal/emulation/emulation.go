@@ -174,9 +174,8 @@ func (r *Result) TotalWork() uint64 {
 // telemetry, the engine feed, the workers and the live tunnels are as
 // they would be over that slice. The Result, timeline and trace are
 // therefore the same function of the seeds at any Workers and in live
-// mode. Of each session the run keeps nothing but, in live mode, the
-// canonical tuple of a malicious one. Every return path joins the
-// producer.
+// mode. Of each session the run keeps nothing but the canonical tuple of
+// a malicious one. Every return path joins the producer.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	a := cfg.Assignment
@@ -277,7 +276,6 @@ func Run(cfg Config) (*Result, error) {
 	defer runSpan.End()
 
 	res := &Result{Sessions: total}
-	preAlerts := make([]int, nNIDS)
 	w := newSessionWalk(shims, cfg.HashSeed, cfg.Clock, nNIDS)
 	act := func(node int, d shim.Decision, p packet.Packet) error {
 		if d.Act == shim.Replicate {
@@ -288,7 +286,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// malicious holds the canonical tuples of the malicious sessions, for
-	// live mode's post-drain detection count.
+	// the post-drain detection count.
 	var malicious []packet.FiveTuple
 	si := 0
 	for b := range batches {
@@ -296,9 +294,7 @@ func Run(cfg Config) (*Result, error) {
 			sess := &b.sessions[i]
 			if sess.Malicious {
 				res.MaliciousSessions++
-				if cfg.Live {
-					malicious = append(malicious, sess.Tuple.Canonical())
-				}
+				malicious = append(malicious, sess.Tuple.Canonical())
 			}
 			var sessSpan *obs.TraceSpan // nil past the traced prefix; nil-safe
 			if si < cfg.TraceSessions {
@@ -319,21 +315,6 @@ func Run(cfg Config) (*Result, error) {
 			tel.sessionDone(si)
 			if len(owners) != 1 {
 				res.OwnershipErrors++
-			}
-			// Detection check: the owning node's alert count must grow for
-			// a malicious session. In live mode this is checked after
-			// draining.
-			if !cfg.Live && sess.Malicious {
-				for _, node := range owners {
-					feed.drain(node)
-					engMu[node].Lock()
-					n := len(engines[node].Alerts())
-					engMu[node].Unlock()
-					if n > preAlerts[node] {
-						res.DetectedSessions++
-					}
-					preAlerts[node] = n
-				}
 			}
 			si++
 		}
@@ -365,28 +346,21 @@ func Run(cfg Config) (*Result, error) {
 		if err := awaitDelivery(drainPolls, delivered, local+sent); err != nil {
 			return nil, err
 		}
-		// Count detected malicious sessions post-hoc by matching alert
-		// tuples against the malicious sessions' tuples (the supernode
-		// knows which sessions were malicious).
-		detected := make(map[packet.FiveTuple]bool)
-		for j := range engines {
-			engMu[j].Lock()
-			for _, al := range engines[j].Alerts() {
-				detected[al.Tuple.Canonical()] = true
-			}
-			engMu[j].Unlock()
-		}
-		for _, tu := range malicious {
-			if detected[tu] {
-				res.DetectedSessions++
-			}
-		}
 	}
 
-	// Every enqueued packet must be applied before the trailing tick and
-	// the final stats read.
+	// Every enqueued packet must be applied before the trailing tick, the
+	// detection count and the final stats read.
 	feed.stop()
 	tel.finish(res.Sessions)
+
+	// A malicious session is detected when some engine raised an alert on
+	// its tuple (the supernode knows which sessions were malicious).
+	detected := alertTuples(engines...)
+	for _, tu := range malicious {
+		if detected[tu] {
+			res.DetectedSessions++
+		}
+	}
 
 	agg := runSpan.Child("aggregation")
 	defer agg.End()
@@ -414,6 +388,18 @@ func Run(cfg Config) (*Result, error) {
 		"malicious", res.MaliciousSessions, "detected", res.DetectedSessions,
 		"ownership_errors", res.OwnershipErrors, "max_work_ex_dc", res.MaxWorkExDC())
 	return res, nil
+}
+
+// alertTuples returns the canonical tuples of every alert the engines
+// raised.
+func alertTuples(engines ...*nids.Engine) map[packet.FiveTuple]bool {
+	out := make(map[packet.FiveTuple]bool)
+	for _, e := range engines {
+		for _, al := range e.Alerts() {
+			out[al.Tuple.Canonical()] = true
+		}
+	}
+	return out
 }
 
 // recordMetrics exports one run's measurements into reg (a nil registry

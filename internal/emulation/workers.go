@@ -40,7 +40,7 @@ type engineBatch struct {
 // Batch buffers are pooled through per-worker free lists, so the steady
 // state allocates nothing.
 //
-// The driver-side methods (process, flush, drain, drainAll, stop) must be
+// The driver-side methods (process, flush, drainAll, stop) must be
 // called from one goroutine.
 type engineFeed struct {
 	engines []*nids.Engine
@@ -133,16 +133,6 @@ func (f *engineFeed) flush(node int) {
 	f.open[node].Add(1)
 	f.queues[w] <- engineBatch{node: node, pkts: f.pend[node]}
 	f.pend[node] = <-f.free[w]
-}
-
-// drain blocks until every packet enqueued for node has been applied to
-// its engine. The driver calls it before reading one node's alerts.
-func (f *engineFeed) drain(node int) {
-	if f.workers == 0 {
-		return
-	}
-	f.flush(node)
-	f.open[node].Wait()
 }
 
 // drainAll blocks until all enqueued packets on all nodes are applied. The

@@ -16,8 +16,9 @@ const hotpathDirective = "//nwids:hotpath"
 // Functions annotated //nwids:hotpath (Shim.DecideFlowInto and its two
 // wrappers, Engine.ProcessPacket, Matcher.ScanStream*) run once per packet
 // or per flow; a single allocation there multiplies into millions per
-// second and shows up directly in the pps figures the bench trajectory
-// tracks. Three allocation shapes are flagged:
+// second and shows up directly in the per-packet figures benchmark/
+// reports (path_ns_per_pkt, nids.allocs_per_pkt). Three allocation shapes
+// are flagged:
 //
 //   - make: allocates on every call. Hoist the buffer into a struct
 //     field, a caller-provided slice, or a pool.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -30,9 +31,15 @@ func Format(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// maxNodes is the most PoPs a graph may have: a PoP index travels in one
+// byte of a host address (packet.PoPIP) and of a shim class key
+// (shim.ClassKey), so a larger graph would alias classes.
+const maxNodes = 256
+
 // Parse reads a graph from the plain-text topology format written by
 // Format. Unknown directives, duplicate node names, links naming unknown
-// nodes, and malformed numbers are reported with line numbers.
+// nodes, malformed numbers, populations that are not positive and finite,
+// and nodes past the 256th are reported with line numbers.
 func Parse(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	var g *Graph
@@ -64,8 +71,12 @@ func Parse(r io.Reader) (*Graph, error) {
 			if _, dup := byName[fields[1]]; dup {
 				return nil, fmt.Errorf("topology: line %d: duplicate node %q", lineNo, fields[1])
 			}
+			if g.NumNodes() == maxNodes {
+				return nil, fmt.Errorf("topology: line %d: more than %d nodes", lineNo, maxNodes)
+			}
 			pop, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || pop <= 0 {
+			// !(pop > 0) also rejects NaN.
+			if err != nil || !(pop > 0) || math.IsInf(pop, 1) {
 				return nil, fmt.Errorf("topology: line %d: bad population %q", lineNo, fields[2])
 			}
 			byName[fields[1]] = g.AddNode(fields[1], pop)
