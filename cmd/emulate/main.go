@@ -31,7 +31,6 @@ func main() {
 	dcCap := flag.Float64("dc", 8, "DC capacity multiple (0 = on-path only)")
 	mll := flag.Float64("mll", 0.4, "max allowed link load")
 	live := flag.Bool("live", false, "replicate over real TCP tunnels")
-	workers := flag.Int("workers", 1, "engine worker shards (<=1 runs inline; output is identical at any count)")
 	seed := flag.Int64("seed", 1, "trace generation seed")
 	saveTrace := flag.String("save-trace", "", "also write the generated session trace to this file")
 	verbose := flag.Bool("v", false, "log progress (JSONL on stderr)")
@@ -92,7 +91,6 @@ func main() {
 		TotalSessions: *sessions,
 		GenSeed:       *seed,
 		Live:          *live,
-		Workers:       *workers,
 		Obs:           reg,
 		Log:           log,
 		Clock:         vc,

@@ -47,12 +47,7 @@ type Config struct {
 	// Live replicates over real TCP tunnels on the loopback interface
 	// instead of direct in-process delivery.
 	Live bool
-	// Workers shards the engine work: values above 1 spread the per-node
-	// engines over min(Workers, nodes) worker goroutines fed with packet
-	// batches, while the driver keeps the virtual clock, spans and dispatch
-	// decisions sequential. 0 or 1 processes packets inline on the driver.
-	// Each node is pinned to one worker, so alerts, counters and timelines
-	// are byte-identical at any worker count.
+	// Deprecated: ignored; Run walks and scans on one goroutine.
 	Workers int
 	// Obs, when non-nil, receives run metrics: per-node work-unit
 	// histograms, shim dispatch counters, tunnel byte counters (see
@@ -166,16 +161,18 @@ func (r *Result) TotalWork() uint64 {
 // The trace is streamed, never held. A producer goroutine owns the trace
 // generator and sends the sessions in batches over one bounded channel
 // (streamPhases, the producer RunDrift uses); the calling goroutine walks
-// each batch through the fleet as it arrives, so generation overlaps the
-// walk and a payload is scanned soon after it is written. The producer
-// starts before the fleet is built. It is the only goroutine that touches
-// the generator, and a sent batch is read-only, so the walk sees the
-// sessions GenerateWorkload returns, in the same order; the walk, the
-// telemetry, the engine feed, the workers and the live tunnels are as
-// they would be over that slice. The Result, timeline and trace are
-// therefore the same function of the seeds at any Workers and in live
-// mode. Of each session the run keeps nothing but the canonical tuple of
-// a malicious one. Every return path joins the producer.
+// each batch through the fleet as it arrives and scans every packet on
+// the spot, so generation overlaps the walk and a payload is scanned soon
+// after it is written. The producer starts before the fleet is built. It
+// is the only goroutine that touches the generator, and a sent batch is
+// read-only, so the walk sees the sessions GenerateWorkload returns, in
+// the same order. Outside live mode the walking goroutine is the only one
+// that touches an engine, so no engine access takes a lock. In live mode
+// replicated packets reach their mirror's engine through a tunnel server's
+// goroutine, and engine access goes through per-node locks until the drain
+// has delivered every packet. The Result is the same function of the seeds
+// in both modes. Of each session the run keeps nothing but the canonical
+// tuple of a malicious one. Every return path joins the producer.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	a := cfg.Assignment
@@ -205,57 +202,25 @@ func Run(cfg Config) (*Result, error) {
 		shims[j] = shim.New(cfgs[j])
 		engines[j] = nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
 	}
-	engMu := make([]sync.Mutex, nNIDS)
 
-	// Engine feed: inline at Workers <= 1, per-node sharded worker
-	// goroutines with batched hand-off above that. stop is idempotent; the
-	// explicit call before final stats drains everything, the defer covers
-	// error returns.
-	feed := newEngineFeed(engines, engMu, cfg.Workers)
-	defer feed.stop()
-
-	// Optional live tunnels: one server per node, one dialed tunnel per
-	// (replicator, mirror) pair, created lazily; replication is batched
-	// through SendBatch.
-	var servers []*shim.Server
-	var tunnels map[[2]int]*shim.Tunnel
-	var tb *tunnelBatcher
-	tunnelBytes := make([]uint64, nNIDS)
-	if cfg.Live {
-		servers = make([]*shim.Server, nNIDS)
-		tunnels = make(map[[2]int]*shim.Tunnel)
-		for j := 0; j < nNIDS; j++ {
-			j := j
-			srv, err := shim.Serve("127.0.0.1:0", func(p packet.Packet) {
-				engMu[j].Lock()
-				engines[j].ProcessPacket(p)
-				engMu[j].Unlock()
-			})
-			if err != nil {
-				return nil, fmt.Errorf("emulation: tunnel server for node %d: %w", j, err)
-			}
-			servers[j] = srv
-		}
-		tb = newTunnelBatcher(servers, tunnels)
-		defer func() {
-			for _, t := range tunnels {
-				//lint:ignore errdiscard best-effort teardown of an in-memory emulation; nothing to do with a close error
-				t.Close()
-			}
-			for _, s := range servers {
-				//lint:ignore errdiscard best-effort teardown of an in-memory emulation; nothing to do with a close error
-				s.Close()
-			}
-		}()
+	// Engine access, chosen once. Without live tunnels every engine call
+	// happens on this goroutine and takes no lock. In live mode the tunnel
+	// servers call engines from their own goroutines, so analysis,
+	// replication and work reads go through liveNet's per-node locks.
+	process := func(j int, p packet.Packet) { engines[j].ProcessPacket(p) }
+	workOf := func(j int) uint64 { return engines[j].Stats().WorkUnits() }
+	replicate := func(from, to int, p packet.Packet) error {
+		process(to, p)
+		return nil
 	}
-
-	deliver := func(from, to int, p packet.Packet) error {
-		tunnelBytes[from] += uint64(len(p.Payload))
-		if !cfg.Live {
-			feed.process(to, p)
-			return nil
+	var live *liveNet
+	if cfg.Live {
+		var err error
+		if live, err = startLive(engines); err != nil {
+			return nil, err
 		}
-		return tb.send(from, to, p)
+		defer live.close()
+		process, workOf, replicate = live.process, live.workOf, live.send
 	}
 
 	cfg.Log.Debug("emulation start",
@@ -264,12 +229,7 @@ func Run(cfg Config) (*Result, error) {
 	// Telemetry: the virtual clock ticks per unit of simulated work, the
 	// tick recorder samples per-node and per-class load into timeline
 	// series, and the first TraceSessions sessions get per-packet spans.
-	tel := newTelemetry(cfg, cfg.Clock, sc, nNIDS,
-		func(j int) uint64 {
-			engMu[j].Lock()
-			defer engMu[j].Unlock()
-			return engines[j].Stats().WorkUnits()
-		},
+	tel := newTelemetry(cfg, cfg.Clock, sc, nNIDS, workOf,
 		func(j int) shim.Counters { return shims[j].Counters })
 	runSpan := cfg.Trace.StartSpan("emulation.run").
 		Arg("topology", sc.Graph.Name()).Arg("sessions", total)
@@ -277,11 +237,13 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Sessions: total}
 	w := newSessionWalk(shims, cfg.HashSeed, cfg.Clock, nNIDS)
+	tunnelBytes := make([]uint64, nNIDS)
 	act := func(node int, d shim.Decision, p packet.Packet) error {
 		if d.Act == shim.Replicate {
-			return deliver(node, d.Mirror, p)
+			tunnelBytes[node] += uint64(len(p.Payload))
+			return replicate(node, d.Mirror, p)
 		}
-		feed.process(node, p)
+		process(node, p)
 		return nil
 	}
 
@@ -307,11 +269,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			sessSpan.End()
 			tel.addClassBytes(sess.SrcPoP, sess.DstPoP, payloadBytes(sess))
-			if tel.willTick(si) {
-				// The tick samples engine work counters; drain the shards
-				// first so the sampled values match the inline path's.
-				feed.drainAll()
-			}
 			tel.sessionDone(si)
 			if len(owners) != 1 {
 				res.OwnershipErrors++
@@ -320,37 +277,18 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	if cfg.Live {
-		feed.drainAll()
-		if err := tb.flushAll(); err != nil {
-			return nil, err
-		}
-		// Drain: wait for tunnel servers to deliver all sent packets.
-		var sent uint64
-		for _, t := range tunnels {
-			sent += t.Sent()
-		}
-		delivered := func() uint64 {
-			var got uint64
-			for j := range engines {
-				engMu[j].Lock()
-				got += engines[j].Stats().Packets
-				engMu[j].Unlock()
-			}
-			return got
-		}
+	if live != nil {
 		var local uint64
 		for j := range shims {
 			local += shims[j].Counters.Processed
 		}
-		if err := awaitDelivery(drainPolls, delivered, local+sent); err != nil {
+		if err := live.drain(local); err != nil {
 			return nil, err
 		}
 	}
 
-	// Every enqueued packet must be applied before the trailing tick, the
-	// detection count and the final stats read.
-	feed.stop()
+	// Every packet is applied, so the trailing tick, the detection count
+	// and the final stats read the engines without a lock.
 	tel.finish(res.Sessions)
 
 	// A malicious session is detected when some engine raised an alert on
@@ -366,10 +304,7 @@ func Run(cfg Config) (*Result, error) {
 	defer agg.End()
 	res.Nodes = make([]NodeStats, nNIDS)
 	for j := 0; j < nNIDS; j++ {
-		engMu[j].Lock()
 		st := engines[j].Stats()
-		alerts := len(engines[j].Alerts())
-		engMu[j].Unlock()
 		res.Nodes[j] = NodeStats{
 			Node:          j,
 			IsDC:          a.HasDC && j == sc.Graph.NumNodes(),
@@ -378,7 +313,7 @@ func Run(cfg Config) (*Result, error) {
 			Processed:     shims[j].Counters.Processed,
 			Replicated:    shims[j].Counters.Replicated,
 			TunnelBytes:   tunnelBytes[j],
-			Alerts:        alerts,
+			Alerts:        len(engines[j].Alerts()),
 			FlowsBoth:     st.FlowsBothDirs,
 			FlowsOneSided: st.FlowsOneSided,
 		}
@@ -505,37 +440,4 @@ func sigsOf(rules []nids.Rule) [][]byte {
 		}
 	}
 	return out
-}
-
-// Live-mode drain budget: drainPolls polls, drainPollMs apart (5 s).
-const (
-	drainPolls  = 1000
-	drainPollMs = 5
-)
-
-// waitFor polls cond up to polls times, drainPollMs apart, and reports
-// whether it held before the budget ran out.
-func waitFor(polls int, cond func() bool) bool {
-	for i := 0; i < polls; i++ {
-		if cond() {
-			return true
-		}
-		sleepMs(drainPollMs)
-	}
-	return false
-}
-
-// awaitDelivery waits for the tunnel servers to hand the engines every
-// packet the run sent. A run whose drain times out has incomplete stats, so
-// it is an error — naming how far delivery got — never a result.
-func awaitDelivery(polls int, delivered func() uint64, expected uint64) error {
-	var got uint64
-	if waitFor(polls, func() bool {
-		got = delivered()
-		return got >= expected
-	}) {
-		return nil
-	}
-	return fmt.Errorf("emulation: live tunnel drain timed out after %d ms: engines received %d of %d packets",
-		polls*drainPollMs, got, expected)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"nwids/internal/core"
 	"nwids/internal/obs"
 	"nwids/internal/topology"
+	"nwids/internal/traffic"
 )
 
 // Byte-identity pins for the two shipped drivers. The constants below were
@@ -50,34 +52,32 @@ const (
 func TestRunPinned(t *testing.T) {
 	_, rep := internet2Assignments(t)
 	for _, seed := range []int64{1, 4} {
-		for _, workers := range []int{1, 2} {
-			vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
-			reg := obs.NewRegistryWithClock(vc)
-			tr := obs.NewTracer(vc)
-			res, err := Run(Config{
-				Assignment: rep, TotalSessions: 600, PacketsPerSession: 6, PayloadBytes: 64,
-				GenSeed: seed, HashSeed: uint32(seed), Workers: workers,
-				Obs: reg, Clock: vc, Trace: tr, TraceSessions: 8,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			timeline, err := json.Marshal(reg.Snapshot(nil).Timeline)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var trace bytes.Buffer
-			if err := tr.WriteChromeTrace(&trace); err != nil {
-				t.Fatal(err)
-			}
-			got := runPin{
-				result:   fnvHex([]byte(fmt.Sprintf("%+v", *res))),
-				timeline: fnvHex(timeline),
-				trace:    fnvHex(trace.Bytes()),
-			}
-			if got != runPins[seed] {
-				t.Errorf("seed %d workers %d: run output moved:\n got %+v\nwant %+v", seed, workers, got, runPins[seed])
-			}
+		vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
+		reg := obs.NewRegistryWithClock(vc)
+		tr := obs.NewTracer(vc)
+		res, err := Run(Config{
+			Assignment: rep, TotalSessions: 600, PacketsPerSession: 6, PayloadBytes: 64,
+			GenSeed: seed, HashSeed: uint32(seed),
+			Obs: reg, Clock: vc, Trace: tr, TraceSessions: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		timeline, err := json.Marshal(reg.Snapshot(nil).Timeline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace bytes.Buffer
+		if err := tr.WriteChromeTrace(&trace); err != nil {
+			t.Fatal(err)
+		}
+		got := runPin{
+			result:   fnvHex([]byte(fmt.Sprintf("%+v", *res))),
+			timeline: fnvHex(timeline),
+			trace:    fnvHex(trace.Bytes()),
+		}
+		if got != runPins[seed] {
+			t.Errorf("seed %d: run output moved:\n got %+v\nwant %+v", seed, got, runPins[seed])
 		}
 	}
 }
@@ -234,5 +234,49 @@ func TestRunPinnedMore(t *testing.T) {
 				t.Errorf("run output moved: got %s, want %s\n%+v", got, runPinsMore[tc.name], *res)
 			}
 		})
+	}
+}
+
+// TestRunLiveMatchesInline runs the same configurations with and without
+// live tunnels. Live mode is the only place engines are touched from more
+// than one goroutine: a tunnel server delivers a replicated packet to its
+// mirror's engine while the walk analyses local packets. With one-hop
+// mirrors a PoP's engine gets both, so under the race detector this test
+// checks live mode's per-node locks; 1500 sessions fill enough tunnel
+// batches that deliveries overlap the walk. The Results must be equal: the
+// tunnels change how a packet reaches its mirror, never what the mirror's
+// engine sees.
+func TestRunLiveMatchesInline(t *testing.T) {
+	g := topology.Internet2()
+	s := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
+	a, err := core.SolveReplication(s, core.ReplicationConfig{
+		Mirror: core.MirrorDCPlusOneHop, DCCapacity: 8, MaxLinkLoad: 0.4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []int{64, 1400} {
+		for _, seed := range []int64{2, 9} {
+			cfg := Config{Assignment: a, TotalSessions: 1500, PayloadBytes: payload, GenSeed: seed, HashSeed: uint32(seed)}
+			inline, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Live = true
+			live, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(inline, live) {
+				t.Errorf("payload %d seed %d: live result differs from inline:\n%+v\n%+v", payload, seed, *inline, *live)
+			}
+			mixed := false // some PoP both analyses its own packets and mirrors another's
+			for _, n := range inline.Nodes {
+				mixed = mixed || (!n.IsDC && n.Processed > 0 && n.Packets > n.Processed)
+			}
+			if !mixed {
+				t.Errorf("payload %d seed %d: no PoP received replicated packets; the test cannot see a missing lock", payload, seed)
+			}
+		}
 	}
 }

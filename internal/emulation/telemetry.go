@@ -14,7 +14,7 @@ import (
 // recorded timestamp, series sample and trace span is a pure function of
 // the workload. The advances happen unconditionally (whether or not a
 // tracer or registry is attached), keeping the timeline identical across
-// telemetry configurations and worker counts.
+// telemetry configurations.
 const (
 	// DefaultTickSessions is the session count between telemetry ticks.
 	DefaultTickSessions = 64
@@ -108,15 +108,10 @@ func (t *telemetry) addClassBytes(src, dst int, n uint64) {
 // sessionDone is called after each injected session; on a tick boundary it
 // records the per-node and per-class deltas and polls the drift watchers.
 func (t *telemetry) sessionDone(si int) {
-	if t.willTick(si) {
+	if (si+1)%t.every == 0 {
 		t.tick()
 	}
 }
-
-// willTick reports whether sessionDone(si) will record a tick. The sharded
-// driver drains its engine workers first, so the sampled counters match
-// the inline path's.
-func (t *telemetry) willTick(si int) bool { return (si+1)%t.every == 0 }
 
 // tick records one sample per series at the current virtual time.
 func (t *telemetry) tick() {

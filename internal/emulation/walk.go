@@ -106,6 +106,31 @@ func actionSpan(parent *obs.TraceSpan, node int, d shim.Decision) *obs.TraceSpan
 	return parent.Child("analysis").Arg("node", node)
 }
 
+// ownerSet tracks which nodes took ownership of the current session's
+// packets. It replaces a per-session map allocation with two reusable
+// slices; iteration order is insertion order, so consumers are
+// deterministic.
+type ownerSet struct {
+	mark []bool
+	list []int
+}
+
+func newOwnerSet(n int) *ownerSet { return &ownerSet{mark: make([]bool, n)} }
+
+func (o *ownerSet) add(node int) {
+	if !o.mark[node] {
+		o.mark[node] = true
+		o.list = append(o.list, node)
+	}
+}
+
+func (o *ownerSet) reset() {
+	for _, node := range o.list {
+		o.mark[node] = false
+	}
+	o.list = o.list[:0]
+}
+
 // payloadBytes sums the payload sizes of a session's packets.
 func payloadBytes(sess *packet.Session) uint64 {
 	var n uint64

@@ -3,9 +3,9 @@ package shim
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nwids/internal/core"
 	"nwids/internal/packet"
@@ -293,12 +293,18 @@ func TestReadPacketRejectsHugeFrames(t *testing.T) {
 }
 
 func TestTunnelEndToEnd(t *testing.T) {
-	var mu sync.Mutex
+	gen := packet.NewGenerator(packet.GeneratorConfig{}, 5)
+	sess := gen.Session(0, 1)
+	// The handler runs on the server's connection goroutine; it closes
+	// done when the last packet arrives, so the wait below needs no
+	// polling, and the close orders every append before the reads.
 	var received []packet.Packet
+	done := make(chan struct{})
 	srv, err := Serve("127.0.0.1:0", func(p packet.Packet) {
-		mu.Lock()
 		received = append(received, p)
-		mu.Unlock()
+		if len(received) == len(sess.Packets) {
+			close(done)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +315,6 @@ func TestTunnelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := packet.NewGenerator(packet.GeneratorConfig{}, 5)
-	sess := gen.Session(0, 1)
 	for _, p := range sess.Packets {
 		if err := tun.Send(p); err != nil {
 			t.Fatal(err)
@@ -322,23 +326,11 @@ func TestTunnelEndToEnd(t *testing.T) {
 	if tun.Sent() != uint64(len(sess.Packets)) {
 		t.Fatalf("Sent = %d", tun.Sent())
 	}
-	// Wait for delivery.
-	deadline := 200
-	for {
-		mu.Lock()
-		n := len(received)
-		mu.Unlock()
-		if n == len(sess.Packets) {
-			break
-		}
-		deadline--
-		if deadline == 0 {
-			t.Fatalf("only %d of %d packets arrived", n, len(sess.Packets))
-		}
-		sleepMs(10)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the %d packets sent did not all arrive within 10 s", len(sess.Packets))
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	for i, p := range received {
 		if p.Tuple != sess.Packets[i].Tuple || !bytes.Equal(p.Payload, sess.Packets[i].Payload) {
 			t.Fatalf("packet %d corrupted in transit", i)

@@ -109,9 +109,9 @@ func (t *Tunnel) Send(p packet.Packet) error {
 }
 
 // SendBatch frames a batch of packets into the tunnel under one lock
-// acquisition — the batching entry point the emulation's sharded driver
-// uses so replicated packets pay the mutex and buffered-writer overhead
-// per batch, not per packet. Delivery order matches the slice order.
+// acquisition — the batching entry point the emulation's live mode uses
+// so replicated packets pay the mutex and buffered-writer overhead per
+// batch, not per packet. Delivery order matches the slice order.
 func (t *Tunnel) SendBatch(pkts []packet.Packet) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
