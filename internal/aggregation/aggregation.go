@@ -68,18 +68,21 @@ type OwnerFunc func(src, dst uint32, tuple packet.FiveTuple) int
 
 // DefaultOwner returns the hash-based owner function for a strategy over
 // nMonitors nodes, mirroring the shim's per-field hashing (§7.2: "the hash
-// is over the appropriate field used for splitting the task").
+// is over the appropriate field used for splitting the task"). The hash is
+// reduced as a uint32, so the owner is in [0, nMonitors) on every platform:
+// converting it to int first would go negative where int is 32 bits.
 func DefaultOwner(s Strategy, nMonitors int) OwnerFunc {
+	n := uint32(nMonitors)
 	return func(src, dst uint32, tuple packet.FiveTuple) int {
 		switch s {
 		case SourceLevel:
-			return int(fnv1a(src)) % nMonitors
+			return int(fnv1a(src) % n)
 		case DestinationLevel:
-			return int(fnv1a(dst)) % nMonitors
+			return int(fnv1a(dst) % n)
 		default: // FlowLevel: hash the canonical 5-tuple
 			c := tuple.Canonical()
 			h := fnv1a(c.SrcIP) ^ fnv1a(c.DstIP)*31 ^ fnv1a(uint32(c.SrcPort)<<16|uint32(c.DstPort))*17
-			return int(h) % nMonitors
+			return int(h % n)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"nwids/internal/core"
 	"nwids/internal/packet"
@@ -150,25 +151,35 @@ func TestEmulationLiveTunnels(t *testing.T) {
 // with a delivery count that never reaches what was sent: the run must fail
 // with an error naming both numbers, not report partial stats as final.
 func TestLiveDrainTimeoutIsAnError(t *testing.T) {
-	polled := 0
-	stuck := func() uint64 { polled++; return 41 }
-	err := awaitDelivery(3, stuck, 100)
+	stuck := newDelivery()
+	for i := 0; i < 41; i++ {
+		stuck.add()
+	}
+	err := stuck.await(100, 10*time.Millisecond)
 	if err == nil {
 		t.Fatal("drain that never completes returned no error")
-	}
-	if polled != 3 {
-		t.Errorf("condition polled %d times, want the full budget of 3", polled)
 	}
 	for _, want := range []string{"timed out", "41 of 100"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-	if waitFor(2, func() bool { return false }) {
-		t.Error("waitFor reported success for a condition that never held")
+	done := newDelivery()
+	for i := 0; i < 100; i++ {
+		done.add()
 	}
-	if err := awaitDelivery(3, func() uint64 { return 100 }, 100); err != nil {
+	if err := done.await(100, 10*time.Millisecond); err != nil {
 		t.Errorf("drain that is already complete: %v", err)
+	}
+	// A drain that starts before the packets arrive wakes on the last one.
+	late := newDelivery()
+	go func() {
+		for i := 0; i < 1000; i++ {
+			late.add()
+		}
+	}()
+	if err := late.await(1000, time.Minute); err != nil {
+		t.Errorf("drain that completes while waiting: %v", err)
 	}
 }
 

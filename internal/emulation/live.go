@@ -3,6 +3,8 @@ package emulation
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"nwids/internal/nids"
 	"nwids/internal/packet"
@@ -18,14 +20,15 @@ import (
 // The servers call engines from their own goroutines, so in live mode —
 // and only there — every engine access before the drain completes goes
 // through the node's lock: the servers' deliveries, the walk's local
-// analysis (process), the telemetry's work reads (workOf) and the drain's
-// delivery count.
+// analysis (process) and the telemetry's work reads (workOf). Every
+// process call also counts into delivered, which the drain waits on.
 type liveNet struct {
-	engines []*nids.Engine
-	mu      []sync.Mutex // per node, guards engines[j]
-	servers []*shim.Server
-	tunnels map[[2]int]*shim.Tunnel
-	pend    map[[2]int][]packet.Packet
+	engines   []*nids.Engine
+	mu        []sync.Mutex // per node, guards engines[j]
+	delivered delivery
+	servers   []*shim.Server
+	tunnels   map[[2]int]*shim.Tunnel
+	pend      map[[2]int][]packet.Packet
 }
 
 // tunnelBatchCap is the packet count per SendBatch flush in live mode.
@@ -35,10 +38,11 @@ const tunnelBatchCap = 64
 // servers it had started.
 func startLive(engines []*nids.Engine) (*liveNet, error) {
 	l := &liveNet{
-		engines: engines,
-		mu:      make([]sync.Mutex, len(engines)),
-		tunnels: make(map[[2]int]*shim.Tunnel),
-		pend:    make(map[[2]int][]packet.Packet),
+		engines:   engines,
+		mu:        make([]sync.Mutex, len(engines)),
+		delivered: newDelivery(),
+		tunnels:   make(map[[2]int]*shim.Tunnel),
+		pend:      make(map[[2]int][]packet.Packet),
 	}
 	for j := range engines {
 		j := j
@@ -52,11 +56,13 @@ func startLive(engines []*nids.Engine) (*liveNet, error) {
 	return l, nil
 }
 
-// process applies p to node j's engine under the node's lock.
+// process applies p to node j's engine under the node's lock and counts
+// the delivery.
 func (l *liveNet) process(j int, p packet.Packet) {
 	l.mu[j].Lock()
 	l.engines[j].ProcessPacket(p)
 	l.mu[j].Unlock()
+	l.delivered.add()
 }
 
 // workOf reads node j's engine work units under the node's lock.
@@ -101,8 +107,9 @@ func (l *liveNet) flushPair(key [2]int) error {
 // drain puts every queued batch on the wire and waits for the servers to
 // hand the engines all of it: local packets analysed in place plus every
 // packet the tunnels sent. Once drain returns nil no server touches an
-// engine again, and its final delivery count, read under each node's lock,
-// orders every delivery before the caller's unlocked reads.
+// engine again, and every engine call is ordered before the caller's
+// unlocked reads: each one precedes its count into delivered, and the
+// drain returns only after observing the last count.
 func (l *liveNet) drain(local uint64) error {
 	for key := range l.pend {
 		if err := l.flushPair(key); err != nil {
@@ -116,16 +123,7 @@ func (l *liveNet) drain(local uint64) error {
 		}
 		want += t.Sent()
 	}
-	delivered := func() uint64 {
-		var got uint64
-		for j := range l.engines {
-			l.mu[j].Lock()
-			got += l.engines[j].Stats().Packets
-			l.mu[j].Unlock()
-		}
-		return got
-	}
-	return awaitDelivery(drainPolls, delivered, want)
+	return l.delivered.await(want, drainTimeout)
 }
 
 // close tears down the tunnels and servers.
@@ -140,35 +138,42 @@ func (l *liveNet) close() {
 	}
 }
 
-// Live-mode drain budget: drainPolls polls, drainPollMs apart (5 s).
-const (
-	drainPolls  = 1000
-	drainPollMs = 5
-)
+// drainTimeout bounds how long a live-mode drain waits for delivery.
+const drainTimeout = 5 * time.Second
 
-// waitFor polls cond up to polls times, drainPollMs apart, and reports
-// whether it held before the budget ran out.
-func waitFor(polls int, cond func() bool) bool {
-	for i := 0; i < polls; i++ {
-		if cond() {
-			return true
-		}
-		sleepMs(drainPollMs)
-	}
-	return false
+// delivery counts the packets handed to the engines and lets one waiter
+// block, without polling, until a target count has arrived.
+type delivery struct {
+	got, want atomic.Uint64 // want is 0 until await sets it
+	done      chan struct{} // closed by the add that brings got to want
 }
 
-// awaitDelivery waits for the tunnel servers to hand the engines every
-// packet the run sent. A run whose drain times out has incomplete stats, so
-// it is an error — naming how far delivery got — never a result.
-func awaitDelivery(polls int, delivered func() uint64, expected uint64) error {
-	var got uint64
-	if waitFor(polls, func() bool {
-		got = delivered()
-		return got >= expected
-	}) {
+func newDelivery() delivery { return delivery{done: make(chan struct{})} }
+
+// add counts one delivered packet. got and want are sequentially
+// consistent, so either the add that reaches want sees it and closes done,
+// or await's own read of got (after it stored want) sees that add.
+func (d *delivery) add() {
+	if d.got.Add(1) == d.want.Load() {
+		close(d.done)
+	}
+}
+
+// await waits until want packets have been delivered, at most timeout. A
+// run whose drain times out has incomplete stats, so it is an error —
+// naming how far delivery got — never a result.
+func (d *delivery) await(want uint64, timeout time.Duration) error {
+	d.want.Store(want)
+	if d.got.Load() >= want {
 		return nil
 	}
-	return fmt.Errorf("emulation: live tunnel drain timed out after %d ms: engines received %d of %d packets",
-		polls*drainPollMs, got, expected)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-d.done:
+		return nil
+	case <-timer.C:
+		return fmt.Errorf("emulation: live tunnel drain timed out after %v: engines received %d of %d packets",
+			timeout, d.got.Load(), want)
+	}
 }

@@ -57,12 +57,12 @@ func TestResetEpochReusesFlowCapacity(t *testing.T) {
 	for _, s := range sessions {
 		e.ProcessSession(s)
 	}
-	capBefore := len(e.flows.entries)
+	capBefore := len(e.flows.slots)
 	e.ResetEpoch()
 	if e.ActiveFlows() != 0 {
 		t.Fatalf("ActiveFlows after reset = %d, want 0", e.ActiveFlows())
 	}
-	if got := len(e.flows.entries); got != capBefore {
+	if got := len(e.flows.slots); got != capBefore {
 		t.Fatalf("flow table capacity changed across reset: %d -> %d (must be cleared in place)", capBefore, got)
 	}
 	// The same workload must fit back into the retained capacity.

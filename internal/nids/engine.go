@@ -35,7 +35,8 @@ func (s Stats) WorkUnits() uint64 {
 }
 
 // flowState tracks one bidirectional session. It is stored inline in the
-// flow table (no per-flow heap pointer); live marks slot occupancy.
+// flow table's slot (no per-flow heap pointer); a new flow starts from the
+// zero value.
 type flowState struct {
 	fwdState, revState int32 // automaton states per direction
 	seenFwd, seenRev   bool
@@ -43,7 +44,6 @@ type flowState struct {
 	// the scan detector; repeats would be set-insert no-ops, so they are
 	// skipped without touching the detector's tables.
 	scanObserved bool
-	live         bool
 }
 
 // Engine is a single NIDS instance: a signature matcher with streaming
@@ -54,7 +54,7 @@ type Engine struct {
 	rules   []Rule
 	matcher *Matcher
 	scan    *ScanDetector
-	flows   flowTable
+	flows   table[packet.FiveTuple, flowState]
 	// bothDirs counts the live flows seen in both directions. It is bumped
 	// in ProcessPacket when a flow's second direction first appears and
 	// cleared with the table in ResetEpoch, so Stats never walks the table.
@@ -87,6 +87,7 @@ func NewEngineWithMatcher(rules []Rule, m *Matcher, scanK int) *Engine {
 		rules:   rules,
 		matcher: m,
 		scan:    NewScanDetector(scanK),
+		flows:   table[packet.FiveTuple, flowState]{hash: tupleHash},
 	}
 }
 
@@ -101,7 +102,10 @@ func (e *Engine) ProcessPacket(p packet.Packet) {
 	e.stats.BytesScanned += uint64(len(p.Payload))
 
 	key := p.Tuple.Canonical()
-	fs, inserted := e.flows.get(key)
+	fs, inserted := e.flows.cached(key), false
+	if fs == nil {
+		fs, inserted = e.flows.get(key, tupleHash(key))
+	}
 	if inserted {
 		e.stats.FlowsTotal++
 	}

@@ -6,12 +6,11 @@ import "sort"
 // addresses within a measurement epoch (§2.1's Scan analysis). The zero
 // value is not usable; construct with NewScanDetector.
 //
-// The state is two open-addressing tables — a (src, dst)-pair presence set
-// and a per-source distinct-count table — instead of Go maps, so the
-// per-packet Observe is a short linear probe over contiguous slots with no
-// hashing interface or bucket pointers, and inserting allocates nothing in
-// the steady state. Reset clears both in place, keeping their capacity
-// across epochs.
+// The state is two tables (see table): a presence set of (src, dst) pairs
+// packed as uint64(src)<<32 | dst, and a per-source distinct-destination
+// count. Observe is a short linear probe over contiguous slots and inserts
+// nothing for a pair it has seen; Reset clears both tables in place,
+// keeping their capacity across epochs.
 type ScanDetector struct {
 	// K is the alert threshold: sources with > K distinct destinations are
 	// reported. K = 0 makes the detector report every observed source,
@@ -19,25 +18,36 @@ type ScanDetector struct {
 	// (§7.3) so the aggregator alone applies the real threshold.
 	K int
 
-	pairs  pairSet
-	counts srcCounts
+	pairs  table[uint64, struct{}]
+	counts table[uint32, int32]
 }
 
 // NewScanDetector returns a detector with threshold k.
 func NewScanDetector(k int) *ScanDetector {
-	return &ScanDetector{K: k}
+	return &ScanDetector{
+		K:      k,
+		pairs:  table[uint64, struct{}]{hash: mix64},
+		counts: table[uint32, int32]{hash: srcHash},
+	}
 }
+
+func srcHash(src uint32) uint64 { return mix64(uint64(src)) }
 
 // Observe records that src contacted dst. Repeated contacts to the same
 // destination count once (and cost one probe, no insertion).
 func (d *ScanDetector) Observe(src, dst uint32) {
-	if d.pairs.insert(uint64(src)<<32 | uint64(dst)) {
-		d.counts.inc(src)
+	pair := uint64(src)<<32 | uint64(dst)
+	if _, inserted := d.pairs.get(pair, mix64(pair)); inserted {
+		n, _ := d.counts.get(src, srcHash(src))
+		*n++
 	}
 }
 
 // Count returns the number of distinct destinations observed for src.
-func (d *ScanDetector) Count(src uint32) int { return d.counts.get(src) }
+func (d *ScanDetector) Count(src uint32) int {
+	n, _ := d.counts.find(src, srcHash(src))
+	return int(n)
+}
 
 // NumSources returns the number of sources observed this epoch.
 func (d *ScanDetector) NumSources() int { return d.counts.count }
@@ -53,9 +63,9 @@ type SourceCount struct {
 // sorted by source for determinism.
 func (d *ScanDetector) Report() []SourceCount {
 	var out []SourceCount
-	d.counts.each(func(src uint32, n int) {
-		if n > d.K {
-			out = append(out, SourceCount{Src: src, Count: n})
+	d.counts.each(func(src uint32, n int32) {
+		if int(n) > d.K {
+			out = append(out, SourceCount{Src: src, Count: int(n)})
 		}
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Src < out[j].Src })
@@ -66,7 +76,7 @@ func (d *ScanDetector) Report() []SourceCount {
 // the flow-level split when exactness requires full tuples (§6).
 func (d *ScanDetector) Tuples() [][2]uint32 {
 	var out [][2]uint32
-	d.pairs.each(func(pair uint64) {
+	d.pairs.each(func(pair uint64, _ struct{}) {
 		out = append(out, [2]uint32{uint32(pair >> 32), uint32(pair)})
 	})
 	sort.Slice(out, func(i, j int) bool {
@@ -82,168 +92,4 @@ func (d *ScanDetector) Tuples() [][2]uint32 {
 func (d *ScanDetector) Reset() {
 	d.pairs.reset()
 	d.counts.reset()
-}
-
-// scanTableMinSize is the initial slot count of both tables (power of two).
-const scanTableMinSize = 256
-
-// mix64 is the splitmix64 finalizer, the probe hash for both tables.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// pairSet is an open-addressing presence set of uint64 keys. Occupancy
-// lives in a separate bitset so the zero key is representable.
-type pairSet struct {
-	keys  []uint64
-	occ   []uint64
-	count int
-}
-
-func (s *pairSet) has(i uint64) bool { return s.occ[i>>6]&(1<<(i&63)) != 0 }
-func (s *pairSet) mark(i uint64)     { s.occ[i>>6] |= 1 << (i & 63) }
-
-// insert adds key, reporting whether it was absent. Load stays <= 3/4.
-func (s *pairSet) insert(key uint64) bool {
-	if s.count*4 >= len(s.keys)*3 {
-		s.grow()
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := mix64(key) & mask
-	for s.has(i) {
-		if s.keys[i] == key {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-	s.keys[i] = key
-	s.mark(i)
-	s.count++
-	return true
-}
-
-func (s *pairSet) grow() {
-	size := scanTableMinSize
-	if len(s.keys) > 0 {
-		size = len(s.keys) * 2
-	}
-	oldKeys, oldOcc := s.keys, s.occ
-	s.keys = make([]uint64, size)
-	s.occ = make([]uint64, size/64)
-	mask := uint64(size - 1)
-	for oi := range oldKeys {
-		if oldOcc[oi>>6]&(1<<(uint(oi)&63)) == 0 {
-			continue
-		}
-		i := mix64(oldKeys[oi]) & mask
-		for s.has(i) {
-			i = (i + 1) & mask
-		}
-		s.keys[i] = oldKeys[oi]
-		s.mark(i)
-	}
-}
-
-func (s *pairSet) each(fn func(key uint64)) {
-	for i := range s.keys {
-		if s.has(uint64(i)) {
-			fn(s.keys[i])
-		}
-	}
-}
-
-func (s *pairSet) reset() {
-	clear(s.keys)
-	clear(s.occ)
-	s.count = 0
-}
-
-// srcCounts is an open-addressing uint32 → count table.
-type srcCounts struct {
-	keys  []uint32
-	vals  []int32
-	occ   []uint64
-	count int
-}
-
-func (s *srcCounts) has(i uint64) bool { return s.occ[i>>6]&(1<<(i&63)) != 0 }
-func (s *srcCounts) mark(i uint64)     { s.occ[i>>6] |= 1 << (i & 63) }
-
-// inc bumps key's count, inserting it at 1 when absent.
-func (s *srcCounts) inc(key uint32) {
-	if s.count*4 >= len(s.keys)*3 {
-		s.grow()
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := mix64(uint64(key)) & mask
-	for s.has(i) {
-		if s.keys[i] == key {
-			s.vals[i]++
-			return
-		}
-		i = (i + 1) & mask
-	}
-	s.keys[i] = key
-	s.vals[i] = 1
-	s.mark(i)
-	s.count++
-}
-
-func (s *srcCounts) get(key uint32) int {
-	if len(s.keys) == 0 {
-		return 0
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := mix64(uint64(key)) & mask
-	for s.has(i) {
-		if s.keys[i] == key {
-			return int(s.vals[i])
-		}
-		i = (i + 1) & mask
-	}
-	return 0
-}
-
-func (s *srcCounts) grow() {
-	size := scanTableMinSize
-	if len(s.keys) > 0 {
-		size = len(s.keys) * 2
-	}
-	oldKeys, oldVals, oldOcc := s.keys, s.vals, s.occ
-	s.keys = make([]uint32, size)
-	s.vals = make([]int32, size)
-	s.occ = make([]uint64, size/64)
-	mask := uint64(size - 1)
-	for oi := range oldKeys {
-		if oldOcc[oi>>6]&(1<<(uint(oi)&63)) == 0 {
-			continue
-		}
-		i := mix64(uint64(oldKeys[oi])) & mask
-		for s.has(i) {
-			i = (i + 1) & mask
-		}
-		s.keys[i] = oldKeys[oi]
-		s.vals[i] = oldVals[oi]
-		s.mark(i)
-	}
-}
-
-func (s *srcCounts) each(fn func(key uint32, n int)) {
-	for i := range s.keys {
-		if s.has(uint64(i)) {
-			fn(s.keys[i], int(s.vals[i]))
-		}
-	}
-}
-
-func (s *srcCounts) reset() {
-	clear(s.keys)
-	clear(s.vals)
-	clear(s.occ)
-	s.count = 0
 }

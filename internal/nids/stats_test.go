@@ -15,17 +15,13 @@ import (
 func referenceStats(e *Engine) Stats {
 	st := e.stats
 	st.FlowsBothDirs, st.FlowsOneSided = 0, 0
-	for i := range e.flows.entries {
-		fs := &e.flows.entries[i].fs
-		if !fs.live {
-			continue
-		}
+	e.flows.each(func(_ packet.FiveTuple, fs flowState) {
 		if fs.seenFwd && fs.seenRev {
 			st.FlowsBothDirs++
 		} else {
 			st.FlowsOneSided++
 		}
-	}
+	})
 	return st
 }
 
@@ -54,7 +50,7 @@ func TestStatsMatchesTableWalk(t *testing.T) {
 	const flowsPerRound = 2000 // > 256·2·2·2·¾: at least three doublings
 	var bothSeen, oneSidedSeen uint64
 	for round := 0; round < 3; round++ {
-		startSize := len(e.flows.entries)
+		startSize := len(e.flows.slots)
 		for f := 0; f < flowsPerRound; f++ {
 			fwd := packet.FiveTuple{
 				Proto: packet.ProtoTCP, SrcIP: packet.PoPIP(f%7, uint16(f)), DstIP: packet.PoPIP(9, uint16(f>>3)),
@@ -104,8 +100,8 @@ func TestStatsMatchesTableWalk(t *testing.T) {
 		st := e.Stats()
 		bothSeen += st.FlowsBothDirs
 		oneSidedSeen += st.FlowsOneSided
-		if round == 0 && len(e.flows.entries) < 8*flowTableMinSize {
-			t.Fatalf("table grew %d → %d slots; the stream must force several doublings", startSize, len(e.flows.entries))
+		if round == 0 && len(e.flows.slots) < 8*minSlots {
+			t.Fatalf("table grew %d → %d slots; the stream must force several doublings", startSize, len(e.flows.slots))
 		}
 		e.ResetEpoch()
 		check("after ResetEpoch")
