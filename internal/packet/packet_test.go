@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -116,16 +117,33 @@ func TestGeneratorPlantsSignatures(t *testing.T) {
 	}
 }
 
-// TestFillMatchesRandIntn pins the generator's byte stream to the plain
-// math/rand one it was defined by: a rand.Rand over the same seed, asked
-// for every value in the order Session asks (three tuple draws, the
-// malicious coin, signature and packet choice, then per packet one Intn per
-// filler byte and the plant offset). fill inlines Int31n, so a Go release
-// that changes Int31n's draw or rejection rule fails here, not in a hash.
-func TestFillMatchesRandIntn(t *testing.T) {
+// refFill is fill's contract written out the plain way: per 8 bytes one
+// Int63 value from rng (the stream value masked to 63 bits), mixed by
+// splitmix64's finalizer; byte k of the mixed value, from the least
+// significant, maps to alphabet[b*40>>8]. A tail takes a whole value.
+func refFill(rng *rand.Rand, payload []byte) {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ._/"
+	for j := 0; j < len(payload); j += 8 {
+		z := uint64(rng.Int63())
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		for k := 0; k < 8 && j+k < len(payload); k++ {
+			b := int(z >> (8 * k) & 0xff)
+			payload[j+k] = alphabet[b*len(alphabet)>>8]
+		}
+	}
+}
+
+// TestFillMatchesReference pins Session's bytes and draw order to a plain
+// spec over a rand.Rand on the same seed, asked for every value in the
+// order Session asks: three tuple draws, the malicious coin, signature and
+// packet choice, then per packet refFill's values and the plant offset.
+// Sizes cover a tail-only payload (6), whole values (64, 256, 1400) and a
+// tail after whole values (61); the last signature does not fit 6 or 61 B.
+func TestFillMatchesReference(t *testing.T) {
 	sigs := [][]byte{[]byte("UPX!"), []byte("MALWARE-SIGNATURE"), []byte("a signature longer than a sixty-four byte payload can possibly hold, by a margin")}
-	for _, size := range []int{6, 64, 256} {
+	for _, size := range []int{6, 61, 64, 256, 1400} {
 		cfg := GeneratorConfig{PacketsPerSession: 4, PayloadBytes: size, MaliciousFraction: 0.5, Signatures: sigs}
 		g := NewGenerator(cfg, 99)
 		rng := rand.New(rand.NewSource(99))
@@ -145,9 +163,7 @@ func TestFillMatchesRandIntn(t *testing.T) {
 			}
 			for i := 0; i < cfg.PacketsPerSession; i++ {
 				payload := make([]byte, size)
-				for j := range payload {
-					payload[j] = alphabet[rng.Intn(len(alphabet))]
-				}
+				refFill(rng, payload)
 				if i == plantAt && len(sigs[sigID]) <= size {
 					copy(payload[rng.Intn(size-len(sigs[sigID])+1):], sigs[sigID])
 					want.Malicious, want.SignatureID = true, sigID
@@ -161,6 +177,26 @@ func TestFillMatchesRandIntn(t *testing.T) {
 					got.Tuple, got.Malicious, got.SignatureID, want.Tuple, want.Malicious, want.SignatureID)
 			}
 		}
+	}
+}
+
+// TestFillSymbolTable: every entry of fillSym is an alphabet symbol, and
+// the table gives 16 symbols 7 of its 256 entries and the other 24 six,
+// the bias fill's doc comment states.
+func TestFillSymbolTable(t *testing.T) {
+	counts := map[byte]int{}
+	for i, c := range fillSym {
+		if !strings.ContainsRune(fillAlphabet, rune(c)) {
+			t.Fatalf("fillSym[%d] = %q is not in the alphabet", i, c)
+		}
+		counts[c]++
+	}
+	byCount := map[int]int{}
+	for _, n := range counts {
+		byCount[n]++
+	}
+	if len(counts) != len(fillAlphabet) || byCount[7] != 16 || byCount[6] != 24 {
+		t.Fatalf("%d symbols; symbols per entry count %v, want 16 at 7 and 24 at 6", len(counts), byCount)
 	}
 }
 
@@ -217,52 +253,6 @@ func TestLaggedMatchesMathRand(t *testing.T) {
 			}
 			if a != b {
 				t.Fatalf("seed %d call %d (kind %d): %d, want %d", seed, i, i%4, a, b)
-			}
-		}
-	}
-}
-
-// TestFillRejectionPath drives fill through Int31n's rejection branch, which
-// a real stream takes with probability 8/2^31 per byte: a crafted block with
-// values above the bound at its first slot, in the middle, at its last slot,
-// two in a row, and at the first slot of the block the next refill makes, so
-// a rejection's redraw straddles the refill. Every value also carries
-// arbitrary carry in bit 63. Filled in pieces of assorted lengths, the bytes
-// and the stream position must be those of an Int31n(40) loop over a copy of
-// the same state.
-func TestFillRejectionPath(t *testing.T) {
-	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 ._/"
-	const above = uint64(1<<31-1) << 32 // Int31() = 2^31-1, past the bound for n = 40
-	rng := rand.New(rand.NewSource(17))
-	cases := map[string][]int{
-		"first":        {0},
-		"middle":       {300},
-		"last":         {lagLen - 1},
-		"two in a row": {411, 412},
-		"all of them":  {0, 300, 411, 412, lagLen - 1},
-	}
-	for name, at := range cases {
-		var state lagged
-		for i := range state.vec {
-			state.vec[i] = rng.Uint64()
-		}
-		for _, i := range at {
-			state.vec[i] = above | uint64(rng.Intn(2))<<63
-		}
-		// The refill's first value is vec[0] + vec[334]: make it a rejection too.
-		state.vec[lagLen-lagTap] = above - state.vec[0]
-		g := &Generator{lag: state}
-		ref := rand.New(&state)
-		for _, size := range []int{1, 299, 2, 1, 108, lagLen, 1400, 5, 3 * lagLen} {
-			got := make([]byte, size)
-			g.fill(got)
-			for j := range got {
-				if want := alphabet[ref.Int31n(int32(len(alphabet)))]; got[j] != want {
-					t.Fatalf("%s: piece of %d byte %d = %q, want %q", name, size, j, got[j], want)
-				}
-			}
-			if g.lag != state {
-				t.Fatalf("%s: after a piece of %d, fill's stream is at %d, Int31n's at %d", name, size, g.lag.pos, state.pos)
 			}
 		}
 	}
