@@ -17,12 +17,14 @@ import (
 )
 
 // Byte-identity pins for the two shipped drivers. The constants below were
-// recorded at the commit *before* the driver's bookkeeping was made
-// per-session (coalesced virtual-clock advances, hoisted class-series index,
-// one shared matcher, cached hash fractions in RunDrift), so "the rewrite
-// moved no output byte" is checked against the old code's output rather
-// than against the new code's own. A deliberate change to anything a run
-// exports re-records them; the failure message prints the new values.
+// last re-recorded when the generator's filler went to eight bytes per
+// stream value, which moved every payload byte and every later tuple. The
+// recordings before that one held, unchanged, through the rewrites of the
+// drivers' bookkeeping (per-session clock advances, one shared matcher,
+// streamed traces), so those rewrites were checked against the old code's
+// output rather than against the new code's own. A deliberate change to
+// anything a run exports re-records them; the failure message prints the
+// new values.
 
 func fnvHex(b []byte) string {
 	h := fnv.New64a()
@@ -36,13 +38,13 @@ type runPin struct {
 }
 
 var runPins = map[int64]runPin{
-	1: {result: "8ffa426f68e068b2", timeline: "a8596d1870cd4a9a", trace: "0361b76c3853cb9b"},
-	4: {result: "79058f5dc7a0b9bc", timeline: "48e9e666848db159", trace: "0361b76c3853cb9b"},
+	1: {result: "87077cc632267b91", timeline: "e77b6005c7064805", trace: "0361b76c3853cb9b"},
+	4: {result: "f36b6ffa64331421", timeline: "c324eddc8e3aa377", trace: "0361b76c3853cb9b"},
 }
 
 const (
-	driftPin         = "954b19b2f6fdb7ea"
-	driftPinMirrorDC = "8dc5ca6d08eef531"
+	driftPin         = "ced18c1b881a3c8a"
+	driftPinMirrorDC = "90927260e848c65d"
 )
 
 // TestRunPinned runs Internet2 with mirror-DC replication, 600 sessions of
@@ -98,6 +100,17 @@ func driftFingerprint(res *DriftResult) string {
 	return fnvHex(b.Bytes())
 }
 
+// checkDriftParity fails t unless a pinned drift run kept what a re-pin must
+// never trade away: every session owned, no detection the oracle made
+// missed by the fleet, and the fleet counters reconciled.
+func checkDriftParity(t *testing.T, res *DriftResult) {
+	t.Helper()
+	if res.Missed != 0 || res.OwnershipErrors != 0 || !res.Reconciled || res.OracleDetected != res.FleetDetected {
+		t.Errorf("missed %d, ownership errors %d, reconciled %v, oracle %d vs fleet %d",
+			res.Missed, res.OwnershipErrors, res.Reconciled, res.OracleDetected, res.FleetDetected)
+	}
+}
+
 // TestRunDriftPinned pins a flash-crowd drift run on the no-mirror LP. Its
 // fleet never replicates, so every transition decision is a single Process.
 func TestRunDriftPinned(t *testing.T) {
@@ -109,6 +122,7 @@ func TestRunDriftPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDriftParity(t, res)
 	if got := driftFingerprint(res); got != driftPin {
 		t.Errorf("drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
 			got, driftPin, len(res.Timeline), len(res.Reconfigs), res.SessionsMoved)
@@ -116,14 +130,12 @@ func TestRunDriftPinned(t *testing.T) {
 }
 
 // driftPins pins the drift presets and planners TestRunDriftPinned does
-// not reach, by driftFullFingerprint. Keys are subtest names. They were
-// recorded while RunDrift still generated its whole trace up front and
-// counted churn session by session at every proposal.
+// not reach, by driftFullFingerprint. Keys are subtest names.
 var driftPins = map[string]string{
-	"diurnal":     "93e4787f5961c162",
-	"drain":       "7418a1e0aa79bf20",
-	"flash-naive": "f84d301aaa1def59",
-	"flash-1000":  "f94773f9eca90619",
+	"diurnal":     "62e904d58b89a5ac",
+	"drain":       "a38c412753b82afe",
+	"flash-naive": "6af8e1bf54c8ffea",
+	"flash-1000":  "f8b4ec4f50022e88",
 }
 
 // driftFullFingerprint extends driftFingerprint with the session and
@@ -161,6 +173,7 @@ func TestRunDriftPinnedScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkDriftParity(t, res)
 			if got := driftFullFingerprint(res); got != driftPins[tc.name] {
 				t.Errorf("drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
 					got, driftPins[tc.name], len(res.Timeline), len(res.Reconfigs), res.SessionsMoved)
@@ -183,11 +196,12 @@ func TestRunDriftPinnedMirrorDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters.Replicated != 4440 || res.Counters.Dual != 84 {
-		t.Errorf("Replicated %d, Dual %d; want 4440, 84", res.Counters.Replicated, res.Counters.Dual)
+	checkDriftParity(t, res)
+	if res.Counters.Replicated != 4404 || res.Counters.Dual != 108 {
+		t.Errorf("Replicated %d, Dual %d; want 4404, 108", res.Counters.Replicated, res.Counters.Dual)
 	}
-	if res.OracleDetected != 78 || res.FleetDetected != 78 {
-		t.Errorf("oracle detected %d, fleet %d; want 78, 78", res.OracleDetected, res.FleetDetected)
+	if res.OracleDetected != 79 || res.FleetDetected != 79 {
+		t.Errorf("oracle detected %d, fleet %d; want 79, 79", res.OracleDetected, res.FleetDetected)
 	}
 	if got := driftFingerprint(res); got != driftPinMirrorDC {
 		t.Errorf("mirror-DC drift run output moved: got %s, want %s\n(%d events, %d reconfigs, moved %d)",
@@ -196,11 +210,10 @@ func TestRunDriftPinnedMirrorDC(t *testing.T) {
 }
 
 // runPinsMore pins the Run configurations TestRunPinned does not reach, by
-// the hash of the whole Result. Keys are subtest names. They were recorded
-// while Run still generated its whole trace before walking it.
+// the hash of the whole Result. Keys are subtest names.
 var runPinsMore = map[string]string{
-	"live":        "a8978f3945950d14",
-	"payload1400": "b061b37c8822f9cb",
+	"live":        "c8a3813b1340e958",
+	"payload1400": "df276fd12689c8bc",
 }
 
 // TestRunPinnedMore pins a live-tunnel run (DetectedSessions there is
