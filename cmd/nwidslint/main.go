@@ -26,12 +26,6 @@
 // CI catches a rotten committed baseline) with:
 //
 //	go run ./cmd/nwidslint -prune-baseline ./...
-//
-// -fix applies the machine-applicable suggested edits carried by some
-// findings (errdiscard, goroexit), then re-analyzes the rewritten tree
-// and reports what remains; applying the same fixes twice is a no-op.
-// -sarif <file|-> additionally renders the (non-baselined) findings as
-// SARIF 2.1.0 for code-scanning upload.
 package main
 
 import (
@@ -52,8 +46,8 @@ func main() {
 
 // jsonReport is the -json output schema. Accepted (baselined) findings
 // are included with their flag set so tooling can see the full picture;
-// only new findings affect the exit status. Version 2 adds the optional
-// per-finding "fix" object (machine-applicable edits, see lint.Fix).
+// only new findings affect the exit status. Version 3 drops version 2's
+// per-finding "fix" object.
 type jsonReport struct {
 	Version  int           `json:"version"`
 	Findings []jsonFinding `json:"findings"`
@@ -61,7 +55,7 @@ type jsonReport struct {
 }
 
 // jsonReportVersion bumps when the schema changes shape.
-const jsonReportVersion = 2
+const jsonReportVersion = 3
 
 type jsonFinding struct {
 	lint.Finding
@@ -75,8 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baselinePath  = fs.String("baseline", "auto", "baseline `file` of accepted findings; only new findings fail the run (auto = the module root's lint.baseline if present, none = disabled)")
 		writeBaseline = fs.String("write-baseline", "", "write all current findings to `file` as the new baseline and exit 0")
 		pruneBaseline = fs.Bool("prune-baseline", false, "rewrite the baseline dropping entries no current finding matches and exit; status 1 if any were stale")
-		applyFix      = fs.Bool("fix", false, "apply machine-applicable suggested fixes, re-analyze, and report what remains")
-		sarifOut      = fs.String("sarif", "", "write findings as SARIF 2.1.0 to `file` (- for stdout)")
 		listRules     = fs.Bool("rules", false, "list the analyzers and exit")
 		ruleFilter    = fs.String("run", "", "comma-separated `rules` to run (default: all)")
 		dir           = fs.String("C", ".", "module `directory` to analyze")
@@ -118,35 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	findings := lint.Run(pkgs, analyzers)
-
-	if *applyFix {
-		changed, applied, skipped, err := lint.ApplyFixes(root, findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "nwidslint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "nwidslint: applied %d fix(es) in %d file(s)", applied, len(changed))
-		if skipped > 0 {
-			fmt.Fprintf(stderr, " (%d overlapping fix(es) skipped; re-run -fix)", skipped)
-		}
-		fmt.Fprintln(stderr)
-		for _, f := range changed {
-			fmt.Fprintf(stderr, "nwidslint: rewrote %s\n", f)
-		}
-		if applied > 0 {
-			// Re-analyze the rewritten tree with a fresh loader (the old one
-			// caches parsed packages) so the report reflects what remains.
-			loader, err = lint.NewModuleLoader(root, false)
-			if err == nil {
-				pkgs, err = loader.Load(patterns...)
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "nwidslint: after -fix: %v\n", err)
-				return 2
-			}
-			findings = lint.Run(pkgs, analyzers)
-		}
-	}
 
 	if *writeBaseline != "" {
 		if err := lint.NewBaseline(findings).WriteFile(*writeBaseline); err != nil {
@@ -199,24 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		findings, accepted = base.Filter(findings)
-	}
-
-	if *sarifOut != "" {
-		data, err := lint.SARIF(analyzers, findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "nwidslint: %v\n", err)
-			return 2
-		}
-		data = append(data, '\n')
-		if *sarifOut == "-" {
-			if _, err := stdout.Write(data); err != nil {
-				fmt.Fprintf(stderr, "nwidslint: %v\n", err)
-				return 2
-			}
-		} else if err := os.WriteFile(*sarifOut, data, 0o644); err != nil {
-			fmt.Fprintf(stderr, "nwidslint: %v\n", err)
-			return 2
-		}
 	}
 
 	if *jsonOut {

@@ -83,8 +83,8 @@ func TestDriverEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, stdout.String())
 	}
-	if rep.Version != 2 || rep.Count != 2 || len(rep.Findings) != 2 {
-		t.Fatalf("JSON report = version %d count %d findings %d, want 2/2/2", rep.Version, rep.Count, len(rep.Findings))
+	if rep.Version != 3 || rep.Count != 2 || len(rep.Findings) != 2 {
+		t.Fatalf("JSON report = version %d count %d findings %d, want 3/2/2", rep.Version, rep.Count, len(rep.Findings))
 	}
 	for _, f := range rep.Findings {
 		if f.Rule == "" || f.File == "" || f.Line == 0 || f.Column == 0 || f.Message == "" {
@@ -144,210 +144,6 @@ func TestDriverEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDriverFix applies the machine fixes end to end and checks the
-// rewrite is idempotent: a second -fix pass changes nothing.
-func TestDriverFix(t *testing.T) {
-	dir := writeTempModule(t)
-	pool := filepath.Join(dir, "internal", "shim", "pool.go")
-	if err := os.MkdirAll(filepath.Dir(pool), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	poolSrc := `package shim
-
-import "sync"
-
-type P struct{ wg sync.WaitGroup }
-
-func (p *P) Start(ok bool) {
-	p.wg.Add(1)
-	go func() {
-		if !ok {
-			return
-		}
-		p.wg.Done()
-	}()
-}
-`
-	if err := os.WriteFile(pool, []byte(poolSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var stdout, stderr bytes.Buffer
-	// floatcmp has no fix, so findings remain and the exit stays 1; the
-	// errdiscard and goroexit sites must be rewritten.
-	if code := run([]string{"-C", dir, "-fix", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-fix exit = %d, want 1 (floatcmp has no fix); stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "applied 2 fix(es)") {
-		t.Errorf("expected 2 applied fixes, stderr:\n%s", stderr.String())
-	}
-	mainSrc, err := os.ReadFile(filepath.Join(dir, "cmd", "app", "main.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(mainSrc), "_ = f.Close()") {
-		t.Errorf("errdiscard fix not applied:\n%s", mainSrc)
-	}
-	fixedPool, err := os.ReadFile(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(fixedPool), "\t\tdefer p.wg.Done()\n\t\tif !ok {") ||
-		strings.Contains(string(fixedPool), "\n\t\tp.wg.Done()\n") {
-		t.Errorf("goroexit fix not applied as a leading defer:\n%s", fixedPool)
-	}
-	out := stdout.String()
-	if strings.Contains(out, "[errdiscard]") || strings.Contains(out, "[goroexit]") {
-		t.Errorf("post-fix report still carries fixed findings:\n%s", out)
-	}
-	if !strings.Contains(out, "[floatcmp]") {
-		t.Errorf("post-fix report lost the unfixable finding:\n%s", out)
-	}
-
-	// Idempotence: the second -fix pass applies nothing and changes no bytes.
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-fix", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("second -fix exit = %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "applied 0 fix(es)") {
-		t.Errorf("second -fix applied something, stderr:\n%s", stderr.String())
-	}
-	again, err := os.ReadFile(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(fixedPool) {
-		t.Errorf("-fix is not idempotent:\n--- first\n%s\n--- second\n%s", fixedPool, again)
-	}
-}
-
-// TestDriverSARIF checks the -sarif rendering: version, schema, rule
-// metadata, result locations, and the fix carried by errdiscard.
-func TestDriverSARIF(t *testing.T) {
-	dir := writeTempModule(t)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-sarif", "-", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-sarif exit = %d, want 1; stderr: %s", code, stderr.String())
-	}
-	// stdout holds the SARIF document followed by the text report; the
-	// document ends at the first top-level closing brace.
-	text := stdout.String()
-	end := strings.Index(text, "\n}\n")
-	if end < 0 {
-		t.Fatalf("no SARIF document on stdout:\n%s", text)
-	}
-	var doc struct {
-		Version string `json:"version"`
-		Schema  string `json:"$schema"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID               string `json:"id"`
-						ShortDescription struct {
-							Text string `json:"text"`
-						} `json:"shortDescription"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				RuleIndex int    `json:"ruleIndex"`
-				Level     string `json:"level"`
-				Message   struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine   int `json:"startLine"`
-							StartColumn int `json:"startColumn"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-				Fixes []struct {
-					ArtifactChanges []struct {
-						Replacements []struct {
-							DeletedRegion struct {
-								CharOffset int `json:"charOffset"`
-								CharLength int `json:"charLength"`
-							} `json:"deletedRegion"`
-							InsertedContent *struct {
-								Text string `json:"text"`
-							} `json:"insertedContent"`
-						} `json:"replacements"`
-					} `json:"artifactChanges"`
-				} `json:"fixes"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(text[:end+2]), &doc); err != nil {
-		t.Fatalf("bad SARIF JSON: %v\n%s", err, text[:end+2])
-	}
-	if doc.Version != "2.1.0" || !strings.Contains(doc.Schema, "sarif-schema-2.1.0") {
-		t.Fatalf("SARIF version/schema = %q/%q, want 2.1.0", doc.Version, doc.Schema)
-	}
-	if len(doc.Runs) != 1 || doc.Runs[0].Tool.Driver.Name != "nwidslint" {
-		t.Fatalf("SARIF runs/driver malformed: %+v", doc.Runs)
-	}
-	run0 := doc.Runs[0]
-	if len(run0.Tool.Driver.Rules) < 10 {
-		t.Errorf("driver lists %d rules, want >= 10", len(run0.Tool.Driver.Rules))
-	}
-	if len(run0.Results) != 2 {
-		t.Fatalf("SARIF results = %d, want 2", len(run0.Results))
-	}
-	sawFix := false
-	for _, r := range run0.Results {
-		if r.Level != "warning" || r.Message.Text == "" {
-			t.Errorf("result missing level/message: %+v", r)
-		}
-		if r.RuleIndex < 0 || r.RuleIndex >= len(run0.Tool.Driver.Rules) ||
-			run0.Tool.Driver.Rules[r.RuleIndex].ID != r.RuleID {
-			t.Errorf("result ruleIndex %d does not resolve to ruleId %q", r.RuleIndex, r.RuleID)
-		}
-		if len(r.Locations) != 1 {
-			t.Errorf("result has %d locations, want 1", len(r.Locations))
-			continue
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI == "" || loc.Region.StartLine == 0 || loc.Region.StartColumn == 0 {
-			t.Errorf("result location incomplete: %+v", loc)
-		}
-		if r.RuleID == "errdiscard" {
-			if len(r.Fixes) != 1 || len(r.Fixes[0].ArtifactChanges) != 1 {
-				t.Fatalf("errdiscard result fixes = %+v, want one fix with one change", r.Fixes)
-			}
-			rep := r.Fixes[0].ArtifactChanges[0].Replacements[0]
-			if rep.DeletedRegion.CharLength != 0 || rep.InsertedContent == nil || rep.InsertedContent.Text != "_ = " {
-				t.Errorf("errdiscard replacement = %+v, want pure insertion of %q", rep, "_ = ")
-			}
-			sawFix = true
-		}
-	}
-	if !sawFix {
-		t.Error("no errdiscard result with a fix in SARIF output")
-	}
-
-	// -sarif to a file writes the same document.
-	path := filepath.Join(t.TempDir(), "report.sarif")
-	stdout.Reset()
-	if code := run([]string{"-C", dir, "-sarif", path, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-sarif file exit = %d, want 1", code)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != text[:end+3] {
-		t.Errorf("-sarif file output differs from stdout output")
-	}
-}
-
 // TestDriverPruneBaseline covers the stale-baseline gate: entries whose
 // findings stopped firing are dropped, the run fails once so CI notices,
 // and a clean baseline passes.
@@ -404,11 +200,11 @@ func TestDriverFlags(t *testing.T) {
 	dir := writeTempModule(t)
 	var stdout, stderr bytes.Buffer
 
-	// -rules lists all five analyzers.
+	// -rules lists all eight analyzers.
 	if code := run([]string{"-rules"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-rules exit = %d, want 0", code)
 	}
-	for _, name := range []string{"nondeterminism", "floatcmp", "panicsafe", "errdiscard", "exprloop"} {
+	for _, name := range []string{"nondeterminism", "floatcmp", "panicsafe", "errdiscard", "exprloop", "coldsolve", "clocksafe", "hotalloc"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-rules output missing %s:\n%s", name, stdout.String())
 		}

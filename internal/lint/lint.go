@@ -58,10 +58,6 @@ type Pass struct {
 // Reportf records a finding at pos. The position is rendered relative to
 // the load root so reports and baselines are stable across machines.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	*p.findings = append(*p.findings, Finding{
 		Rule:    p.Analyzer.Name,
@@ -69,7 +65,6 @@ func (p *Pass) report(pos token.Pos, fix *Fix, format string, args ...any) {
 		Line:    position.Line,
 		Column:  position.Column,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	})
 }
 
@@ -83,15 +78,13 @@ func (p *Pass) relPath(filename string) string {
 	return filename
 }
 
-// A Finding is one reported rule violation, optionally carrying a
-// machine-applicable fix.
+// A Finding is one reported rule violation.
 type Finding struct {
 	Rule    string `json:"rule"`
 	File    string `json:"file"`
 	Line    int    `json:"line"`
 	Column  int    `json:"column"`
 	Message string `json:"message"`
-	Fix     *Fix   `json:"fix,omitempty"`
 }
 
 // String renders the finding in the conventional file:line:col style.

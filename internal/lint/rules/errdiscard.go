@@ -53,14 +53,7 @@ func runErrDiscard(pass *lint.Pass) {
 			if f != nil {
 				name = f.Name()
 			}
-			// The fix rewrites the statement to `_ = call()`: an explicit,
-			// reviewable discard, and an AssignStmt the rule no longer
-			// matches, so applying it is idempotent.
-			fix := &lint.SuggestedFix{
-				Message: "assign the discarded result to _",
-				Edits:   []lint.TextEdit{{Pos: stmt.Pos(), End: stmt.Pos(), NewText: "_ = "}},
-			}
-			pass.ReportFix(call.Pos(), fix, "result of %s contains an error that is discarded; handle it or assign to _ with a //lint:ignore reason", name)
+			pass.Reportf(call.Pos(), "result of %s contains an error that is discarded; handle it or assign to _ with a //lint:ignore reason", name)
 			return true
 		})
 	}

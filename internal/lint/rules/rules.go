@@ -12,13 +12,6 @@
 //	                that ignore an available warm-start handle
 //	clocksafe       no direct wall-clock calls in the telemetry plane;
 //	                time flows through the injectable obs.Clock
-//	lockguard       a field guarded by a mutex at most access sites must
-//	                be guarded at all of them (flow-aware, CFG-based)
-//	goroexit        pool goroutines reach wg.Done()/result-send on all
-//	                paths, panic and early-return edges included
-//	boundaryexact   floats flowing into partition bounds are the exact
-//	                endpoint when one is in scope, never recomputed
-//	                arithmetic that can land 1 ulp off
 //	hotalloc        no allocation shapes (make, copy-grow append,
 //	                capturing closures) in //nwids:hotpath functions
 package rules
@@ -43,9 +36,6 @@ func All() []*lint.Analyzer {
 		ExprLoop,
 		ColdSolve,
 		Clocksafe,
-		Lockguard,
-		Goroexit,
-		Boundaryexact,
 		Hotalloc,
 	}
 }

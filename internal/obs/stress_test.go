@@ -10,10 +10,10 @@ import (
 // TestRegistryStressConcurrent is the race audit for the parallel sweep
 // engine: many goroutines hammer counters, gauges, histograms and span
 // timers on one registry — creating instruments by name concurrently, the
-// access pattern of concurrent solver jobs — while snapshot/export runs in
-// parallel. Run under -race (CI does), it proves the registry's read and
-// write paths are race-clean; the final assertions prove no observation is
-// lost under contention.
+// access pattern of concurrent solver jobs — and read its Clock, while
+// snapshot/export runs in parallel. Run under -race (CI does), it proves
+// the registry's read and write paths are race-clean; the final
+// assertions prove no observation is lost under contention.
 func TestRegistryStressConcurrent(t *testing.T) {
 	const (
 		workers = 16
@@ -64,6 +64,9 @@ func TestRegistryStressConcurrent(t *testing.T) {
 				// Per-worker instruments: concurrent map insertion path.
 				reg.Counter(fmt.Sprintf("stress.worker.%d.ops", w)).Inc()
 				sp.Stop()
+				if c := reg.Clock(); c != Wall {
+					t.Errorf("Clock() = %v, want Wall", c)
+				}
 			}
 		}(w)
 	}
