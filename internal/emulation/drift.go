@@ -254,10 +254,11 @@ type proposal struct {
 // channels; an oracle goroutine owns the centralised oracle engine and
 // feeds it every session it receives; the calling goroutine walks the
 // sessions through the fleet and runs the controller and telemetry. Each
-// goroutine owns its engine or generator outright, a session is read-only
-// once sent, and the oracle's alerts are read only after it is joined, so
-// the result is the same function of the seeds as a sequential run. Every
-// return path joins both goroutines.
+// goroutine owns its engine or generator outright, a batch is read-only
+// from its send until both the oracle and the fleet loop have released it
+// (only then does the producer rewrite it), and the oracle's alerts are
+// read only after it is joined, so the result is the same function of the
+// seeds as a sequential run. Every return path joins both goroutines.
 //
 // Of each walked session only its class, hash fraction and canonical tuple
 // are kept. A reconfiguration's empirical churn is measured over the
@@ -286,8 +287,8 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	// One automaton per run, shared by the fleet's engines and the oracle.
 	matcher := nids.NewMatcher(nids.Patterns(cfg.Rules))
 	oracle := nids.NewEngineWithMatcher(cfg.Rules, matcher, cfg.ScanK)
-	toFleet := make(chan sessionBatch, streamBatchDepth)
-	toOracle := make(chan sessionBatch, streamBatchDepth)
+	toFleet := make(chan *sessionBatch, streamBatchDepth)
+	toOracle := make(chan *sessionBatch, streamBatchDepth)
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
 	spawn(&wg, func() { streamPhases(gen, counts, quit, toOracle, toFleet) })
@@ -298,6 +299,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 					oracle.ProcessPacket(p)
 				}
 			}
+			b.release()
 		}
 	})
 	defer func() {
@@ -497,6 +499,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 					}
 				}
 			}
+			b.release()
 		}
 	}
 	// Confirm any still-pending transition so the run ends on a clean epoch.

@@ -164,9 +164,13 @@ func (r *Result) TotalWork() uint64 {
 // each batch through the fleet as it arrives and scans every packet on
 // the spot, so generation overlaps the walk and a payload is scanned soon
 // after it is written. The producer starts before the fleet is built. It
-// is the only goroutine that touches the generator, and a sent batch is
-// read-only, so the walk sees the sessions GenerateWorkload returns, in
-// the same order. Outside live mode the walking goroutine is the only one
+// is the only goroutine that touches the generator, and it recycles each
+// batch's storage once the walk has released it; a sent batch is
+// read-only until released, so the walk sees the sessions
+// GenerateWorkload returns, in the same order. The walk releases a batch
+// once it has walked every session of it; in live mode it first puts the
+// tunnel queues on the wire, since queued packets alias the batch's
+// payloads. Outside live mode the walking goroutine is the only one
 // that touches an engine, so no engine access takes a lock. In live mode
 // replicated packets reach their mirror's engine through a tunnel server's
 // goroutine, and engine access goes through per-node locks until the drain
@@ -183,7 +187,7 @@ func Run(cfg Config) (*Result, error) {
 	nNIDS := a.NumNIDS()
 
 	counts, total, gen := workload(cfg)
-	batches := make(chan sessionBatch, streamBatchDepth)
+	batches := make(chan *sessionBatch, streamBatchDepth)
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
 	spawn(&wg, func() { streamPhases(gen, [][][]int{counts}, quit, batches) })
@@ -275,6 +279,14 @@ func Run(cfg Config) (*Result, error) {
 			}
 			si++
 		}
+		// Queued replications alias the batch's payloads; they go on the
+		// wire before the producer may rewrite them.
+		if live != nil {
+			if err := live.flush(); err != nil {
+				return nil, err
+			}
+		}
+		b.release()
 	}
 
 	if live != nil {

@@ -3,6 +3,7 @@ package emulation
 import (
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -250,5 +251,28 @@ func TestRunJoinsProducer(t *testing.T) {
 	}
 	if n := pipelineBodies.Load(); n != 0 {
 		t.Errorf("after a successful run: %d pipeline bodies still running", n)
+	}
+}
+
+// TestRunAllocBudget: a Run of 1400 B payloads allocates less than a
+// quarter of the payload bytes it generates. The producer writes every
+// session into recycled batch arenas, so what a Run allocates is its fixed
+// set-up (automaton, telemetry series, the arenas themselves) plus flow
+// state; a producer that allocated each session's payloads afresh would
+// allocate more than the payload bytes.
+func TestRunAllocBudget(t *testing.T) {
+	_, rep := internet2Assignments(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Run(Config{Assignment: rep, TotalSessions: 8000, PayloadBytes: 1400})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := uint64(res.Sessions) * 6 * 1400
+	if got := after.TotalAlloc - before.TotalAlloc; got >= payload/4 {
+		t.Errorf("Run allocated %d B for %d B of payload (%.2f×); want under 0.25×",
+			got, payload, float64(got)/float64(payload))
 	}
 }

@@ -104,6 +104,18 @@ func (l *liveNet) flushPair(key [2]int) error {
 	return err
 }
 
+// flush hands every pair's queued packets to its tunnel, which copies
+// their bytes into its write buffer, so no queued packet still refers to
+// a payload the caller may reuse.
+func (l *liveNet) flush() error {
+	for key := range l.pend {
+		if err := l.flushPair(key); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // drain puts every queued batch on the wire and waits for the servers to
 // hand the engines all of it: local packets analysed in place plus every
 // packet the tunnels sent. Once drain returns nil no server touches an
@@ -111,10 +123,8 @@ func (l *liveNet) flushPair(key [2]int) error {
 // unlocked reads: each one precedes its count into delivered, and the
 // drain returns only after observing the last count.
 func (l *liveNet) drain(local uint64) error {
-	for key := range l.pend {
-		if err := l.flushPair(key); err != nil {
-			return err
-		}
+	if err := l.flush(); err != nil {
+		return err
 	}
 	want := local
 	for _, t := range l.tunnels {

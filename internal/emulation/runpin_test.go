@@ -258,7 +258,13 @@ func TestRunPinnedMore(t *testing.T) {
 // checks live mode's per-node locks; 1500 sessions fill enough tunnel
 // batches that deliveries overlap the walk. The Results must be equal: the
 // tunnels change how a packet reaches its mirror, never what the mirror's
-// engine sees.
+// engine sees. Queued replications alias the producer's recycled payload
+// arenas, so if a batch were released before its queued packets are sent,
+// a mirror would scan another session's bytes under the queued tuple. Half
+// the sessions of the last case are malicious, so such a swap gains or
+// loses an alert about as often as it can. (With every session malicious
+// it would not show: each session has one signature, so a swapped-in
+// session brings one alert on the same tuple.)
 func TestRunLiveMatchesInline(t *testing.T) {
 	g := topology.Internet2()
 	s := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
@@ -268,9 +274,15 @@ func TestRunLiveMatchesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, payload := range []int{64, 1400} {
+	cases := []struct {
+		payload   int
+		malicious float64 // 0 is the default fraction
+	}{{64, 0}, {1400, 0}, {1400, 0.5}}
+	for _, tc := range cases {
+		payload := tc.payload
 		for _, seed := range []int64{2, 9} {
-			cfg := Config{Assignment: a, TotalSessions: 1500, PayloadBytes: payload, GenSeed: seed, HashSeed: uint32(seed)}
+			cfg := Config{Assignment: a, TotalSessions: 1500, PayloadBytes: payload, GenSeed: seed, HashSeed: uint32(seed),
+				MaliciousFraction: tc.malicious}
 			inline, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -281,7 +293,12 @@ func TestRunLiveMatchesInline(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(inline, live) {
-				t.Errorf("payload %d seed %d: live result differs from inline:\n%+v\n%+v", payload, seed, *inline, *live)
+				t.Errorf("payload %d seed %d malicious %v: live result differs from inline:\n%+v\n%+v",
+					payload, seed, tc.malicious, *inline, *live)
+			}
+			if inline.DetectedSessions != inline.MaliciousSessions {
+				t.Errorf("payload %d seed %d malicious %v: detected %d of %d malicious sessions",
+					payload, seed, tc.malicious, inline.DetectedSessions, inline.MaliciousSessions)
 			}
 			mixed := false // some PoP both analyses its own packets and mirrors another's
 			for _, n := range inline.Nodes {

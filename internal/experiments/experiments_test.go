@@ -20,11 +20,13 @@ func TestTable1(t *testing.T) {
 			t.Fatalf("%s: nonpositive solve times", r.Topology)
 		}
 	}
-	// Replication LPs are much larger than aggregation LPs; their solve
-	// time should dominate (the paper's Table 1 shape).
+	// Replication LPs are much larger than aggregation LPs, so their solves
+	// take more simplex iterations (the paper's Table 1 shape). Iterations,
+	// not wall time: millisecond solves on a busy machine can swap order.
 	for _, r := range rows {
-		if r.ReplicationTime < r.AggregationTime {
-			t.Errorf("%s: replication (%v) faster than aggregation (%v)", r.Topology, r.ReplicationTime, r.AggregationTime)
+		if r.ReplicationIter <= r.AggregationIter {
+			t.Errorf("%s: replication took %d iterations, aggregation %d; want more for replication",
+				r.Topology, r.ReplicationIter, r.AggregationIter)
 		}
 	}
 	out := RenderTable1(rows)

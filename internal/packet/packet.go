@@ -198,11 +198,33 @@ func (l *lagged) refill() {
 	l.pos = 0
 }
 
-// Session produces one session between hosts at the given PoPs. It is
-// marked Malicious only if a signature was actually planted: one longer
-// than the payload cannot be, though the draws that chose it are still made
-// so that the rest of the stream does not depend on PayloadBytes.
+// Session produces one session between hosts at the given PoPs, its
+// payloads in one new allocation. It is SessionInto on fresh storage.
 func (g *Generator) Session(srcPoP, dstPoP int) Session {
+	var s Session
+	g.SessionInto(&s, srcPoP, dstPoP, make([]byte, g.SessionBytes()))
+	return s
+}
+
+// SessionBytes is the payload size of one session: the length of buffer
+// SessionInto needs.
+func (g *Generator) SessionBytes() int {
+	return g.cfg.PacketsPerSession * g.cfg.PayloadBytes
+}
+
+// SessionInto writes the next session between hosts at the given PoPs
+// into s, overwriting every field, and its payloads into buf, which must
+// hold SessionBytes bytes. s.Packets' backing array is reused when it is
+// large enough, so a caller that recycles s and buf allocates nothing.
+// Each packet's payload is a slice of buf capped at its own bytes, so an
+// append cannot reach its neighbour's; s aliases buf until both are
+// rewritten.
+//
+// The session is marked Malicious only if a signature was actually
+// planted: one longer than the payload cannot be, though the draws that
+// chose it are still made so that the rest of the stream does not depend
+// on PayloadBytes.
+func (g *Generator) SessionInto(s *Session, srcPoP, dstPoP int, buf []byte) {
 	tuple := FiveTuple{
 		Proto:   ProtoTCP,
 		SrcIP:   PoPIP(srcPoP, uint16(1+g.rng.Intn(60000))),
@@ -211,16 +233,17 @@ func (g *Generator) Session(srcPoP, dstPoP int) Session {
 		DstPort: 80,
 	}
 	n, size := g.cfg.PacketsPerSession, g.cfg.PayloadBytes
-	s := Session{Tuple: tuple, SrcPoP: srcPoP, DstPoP: dstPoP, Packets: make([]Packet, 0, n)}
+	pkts := s.Packets[:0]
+	if cap(pkts) < n {
+		pkts = make([]Packet, 0, n)
+	}
+	*s = Session{Tuple: tuple, SrcPoP: srcPoP, DstPoP: dstPoP}
 	malicious := len(g.cfg.Signatures) > 0 && g.rng.Float64() < g.cfg.MaliciousFraction
 	sigID, plantAt := 0, -1
 	if malicious {
 		sigID = g.rng.Intn(len(g.cfg.Signatures))
 		plantAt = g.rng.Intn(n)
 	}
-	// One allocation holds every payload of the session; each packet's slice
-	// is capped at its own bytes so an append cannot reach its neighbour's.
-	buf := make([]byte, n*size)
 	for i := 0; i < n; i++ {
 		dir := Direction(i % 2)
 		t := tuple
@@ -237,9 +260,9 @@ func (g *Generator) Session(srcPoP, dstPoP int) Session {
 				s.Malicious, s.SignatureID = true, sigID
 			}
 		}
-		s.Packets = append(s.Packets, Packet{Tuple: t, Dir: dir, Payload: payload})
+		pkts = append(pkts, Packet{Tuple: t, Dir: dir, Payload: payload})
 	}
-	return s
+	s.Packets = pkts
 }
 
 // fillAlphabet is the printable alphabet benign filler is drawn from.
@@ -272,20 +295,37 @@ func fillMix(x uint64) uint64 {
 // value, counted from the least significant, picks payload byte k through
 // fillSym. A tail of 1–7 bytes takes one more value and drops its unused
 // bytes. TestFillMatchesReference holds it to that spec.
+//
+// The whole runs read the lagged block directly, as many values at a time
+// as are left in it, and refill it when it runs out: the values and their
+// order are Int63's, without a call per value.
 func (g *Generator) fill(b []byte) {
-	for ; len(b) >= 8; b = b[8:] {
-		x := fillMix(uint64(g.lag.Int63()))
-		b[0] = fillSym[byte(x)]
-		b[1] = fillSym[byte(x>>8)]
-		b[2] = fillSym[byte(x>>16)]
-		b[3] = fillSym[byte(x>>24)]
-		b[4] = fillSym[byte(x>>32)]
-		b[5] = fillSym[byte(x>>40)]
-		b[6] = fillSym[byte(x>>48)]
-		b[7] = fillSym[byte(x>>56)]
+	l := &g.lag
+	for len(b) >= 8 {
+		if l.pos == lagLen {
+			l.refill()
+		}
+		vec := l.vec[l.pos:]
+		if len(vec) > len(b)/8 {
+			vec = vec[:len(b)/8]
+		}
+		for _, v := range vec {
+			x := fillMix(v & (1<<63 - 1))
+			o := b[:8:8]
+			o[0] = fillSym[byte(x)]
+			o[1] = fillSym[byte(x>>8)]
+			o[2] = fillSym[byte(x>>16)]
+			o[3] = fillSym[byte(x>>24)]
+			o[4] = fillSym[byte(x>>32)]
+			o[5] = fillSym[byte(x>>40)]
+			o[6] = fillSym[byte(x>>48)]
+			o[7] = fillSym[byte(x>>56)]
+			b = b[8:]
+		}
+		l.pos += len(vec)
 	}
 	if len(b) > 0 {
-		x := fillMix(uint64(g.lag.Int63()))
+		x := fillMix(uint64(l.Int63()))
 		for k := range b {
 			b[k] = fillSym[byte(x>>(8*k))]
 		}
@@ -293,24 +333,24 @@ func (g *Generator) fill(b []byte) {
 }
 
 // Matrix generates sessionsPerPair[i][j] sessions for every PoP pair,
-// returning them in a deterministic interleaved injection order (round-robin
-// across pairs, preserving intra-session order downstream). It collects
-// StreamMatrix.
+// returning them in StreamMatrix's deterministic interleaved injection
+// order (round-robin across pairs, preserving intra-session order
+// downstream).
 func (g *Generator) Matrix(sessionsPerPair [][]int) []Session {
 	out := make([]Session, 0, max(pairTotal(sessionsPerPair), 0))
-	g.StreamMatrix(sessionsPerPair, func(s Session) bool {
-		out = append(out, s)
+	StreamMatrix(sessionsPerPair, func(src, dst int) bool {
+		out = append(out, g.Session(src, dst))
 		return true
 	})
 	return out
 }
 
-// StreamMatrix generates the sessions Matrix returns, in the same order,
-// handing each to yield as soon as it is made instead of collecting them;
-// it stops early when yield returns false. The generator keeps no
-// reference to a session once yield has it, so the caller bounds the
-// memory a trace of any length takes.
-func (g *Generator) StreamMatrix(sessionsPerPair [][]int, yield func(Session) bool) {
+// StreamMatrix is the injection order of a trace: it hands yield the
+// (src, dst) PoP pair of each of the sessionsPerPair[src][dst] sessions in
+// turn, round-robin across pairs, and stops early when yield returns
+// false. Generation is the caller's, so Matrix and a producer that writes
+// sessions into recycled storage share one order.
+func StreamMatrix(sessionsPerPair [][]int, yield func(src, dst int) bool) {
 	n := len(sessionsPerPair)
 	counts := make([][]int, n)
 	for i := range counts {
@@ -325,7 +365,7 @@ func (g *Generator) StreamMatrix(sessionsPerPair [][]int, yield func(Session) bo
 				if counts[a][b] > 0 {
 					counts[a][b]--
 					remaining--
-					if !yield(g.Session(a, b)) {
+					if !yield(a, b) {
 						return
 					}
 				}

@@ -260,17 +260,48 @@ func TestLaggedMatchesMathRand(t *testing.T) {
 
 // BenchmarkSession times the generator per session at the payload sizes of
 // the pkt-small, default and pkt-large workloads; bytes are payload bytes.
+// alloc is Session, which allocates each session afresh; reuse is
+// SessionInto over one recycled session and buffer, as the drivers'
+// producer runs it, and allocates nothing.
 func BenchmarkSession(b *testing.B) {
 	sigs := [][]byte{[]byte("UPX!"), []byte("MALWARE-SIGNATURE")}
 	for _, size := range []int{6, 256, 1400} {
-		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			g := NewGenerator(GeneratorConfig{PayloadBytes: size, Signatures: sigs}, 1)
-			b.SetBytes(int64(6 * size))
+		cfg := GeneratorConfig{PayloadBytes: size, Signatures: sigs}
+		b.Run(fmt.Sprintf("%dB/alloc", size), func(b *testing.B) {
+			g := NewGenerator(cfg, 1)
+			b.SetBytes(int64(g.SessionBytes()))
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.Session(i%11, (i+1)%11)
+				sessionSink = g.Session(i%11, (i+1)%11)
 			}
 		})
+		b.Run(fmt.Sprintf("%dB/reuse", size), func(b *testing.B) {
+			g := NewGenerator(cfg, 1)
+			buf := make([]byte, g.SessionBytes())
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.SessionInto(&sessionSink, i%11, (i+1)%11, buf)
+			}
+		})
+	}
+}
+
+// sessionSink keeps BenchmarkSession's results live.
+var sessionSink Session
+
+// TestSessionIntoAllocFree: once a recycled session's packet slice has
+// grown, SessionInto allocates nothing, malicious sessions included.
+func TestSessionIntoAllocFree(t *testing.T) {
+	g := NewGenerator(GeneratorConfig{PayloadBytes: 1400, MaliciousFraction: 0.5,
+		Signatures: [][]byte{[]byte("UPX!"), []byte("MALWARE-SIGNATURE")}}, 3)
+	var s Session
+	buf := make([]byte, g.SessionBytes())
+	g.SessionInto(&s, 0, 1, buf)
+	if n := testing.AllocsPerRun(200, func() { g.SessionInto(&s, 2, 3, buf) }); n != 0 {
+		t.Fatalf("SessionInto allocates %v times per session", n)
 	}
 }
 
@@ -384,10 +415,11 @@ func referenceMatrix(g *Generator, sessionsPerPair [][]int) []Session {
 }
 
 // TestStreamMatrixMatchesMatrix: for several seeds and count matrices
-// (zero, negative and empty ones included), Matrix, the collected
-// StreamMatrix and the eager reference produce the same sessions byte for
-// byte and leave their generators at the same point of the stream; a
-// stream stopped early yields a prefix of the same trace.
+// (zero, negative and empty ones included), Matrix, SessionInto over
+// StreamMatrix's order into recycled storage and the eager reference
+// produce the same sessions byte for byte and leave their generators at the
+// same point of the stream; a stream stopped early yields a prefix of the
+// same trace.
 func TestStreamMatrixMatchesMatrix(t *testing.T) {
 	cfg := GeneratorConfig{
 		PacketsPerSession: 4, PayloadBytes: 48, MaliciousFraction: 0.3,
@@ -413,15 +445,22 @@ func TestStreamMatrixMatchesMatrix(t *testing.T) {
 				t.Fatalf("seed %d matrix %d: Matrix differs from the reference (%d vs %d sessions)",
 					seed, mi, len(got), len(want))
 			}
+			// The stream writes every session into one recycled Session and
+			// payload buffer, each compared before the next overwrites it.
 			str := NewGenerator(cfg, seed)
-			var got []Session
-			str.StreamMatrix(counts, func(s Session) bool {
-				got = append(got, s)
+			var s Session
+			buf := make([]byte, str.SessionBytes())
+			got := 0
+			StreamMatrix(counts, func(a, b int) bool {
+				str.SessionInto(&s, a, b, buf)
+				if got >= len(want) || !reflect.DeepEqual(s, want[got]) {
+					t.Fatalf("seed %d matrix %d: streamed session %d differs from the reference", seed, mi, got)
+				}
+				got++
 				return true
 			})
-			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("seed %d matrix %d: stream differs from the reference (%d vs %d sessions)",
-					seed, mi, len(got), len(want))
+			if got != len(want) {
+				t.Fatalf("seed %d matrix %d: stream made %d sessions, the reference %d", seed, mi, got, len(want))
 			}
 			next := ref.Session(0, 0)
 			if !reflect.DeepEqual(mat.Session(0, 0), next) || !reflect.DeepEqual(str.Session(0, 0), next) {
@@ -433,8 +472,9 @@ func TestStreamMatrixMatchesMatrix(t *testing.T) {
 			}
 			stop := len(want) / 2
 			var prefix []Session
-			NewGenerator(cfg, seed).StreamMatrix(counts, func(s Session) bool {
-				prefix = append(prefix, s)
+			pg := NewGenerator(cfg, seed)
+			StreamMatrix(counts, func(a, b int) bool {
+				prefix = append(prefix, pg.Session(a, b))
 				return len(prefix) < stop
 			})
 			if !reflect.DeepEqual(prefix, want[:stop]) {
