@@ -52,7 +52,8 @@ type Config struct {
 	// Obs, when non-nil, receives run metrics: per-node work-unit
 	// histograms, shim dispatch counters, tunnel byte counters (see
 	// recordMetrics for the key schema) and the tick-granularity timeline
-	// series (per-node work/dispatch deltas, per-class bytes).
+	// series (per-node work/dispatch deltas, per-class bytes). Run records
+	// a timeline only when Obs or Log is set.
 	Obs *obs.Registry
 	// Log, when non-nil, receives structured progress events, including the
 	// drift events fired by the per-node load watchers.
@@ -69,8 +70,8 @@ type Config struct {
 	Trace *obs.Tracer
 	// TraceSessions bounds the per-packet-span sessions (default 8).
 	TraceSessions int
-	// TickSessions is the session count between telemetry ticks (default
-	// DefaultTickSessions).
+	// TickSessions is the session count between timeline ticks, when Obs
+	// or Log is set (default DefaultTickSessions).
 	TickSessions int
 }
 
@@ -104,6 +105,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceSessions == 0 {
 		c.TraceSessions = defaultTraceSessions
+	}
+	if c.TickSessions <= 0 {
+		c.TickSessions = DefaultTickSessions
 	}
 	return c
 }
@@ -209,10 +213,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// Engine access, chosen once. Without live tunnels every engine call
 	// happens on this goroutine and takes no lock. In live mode the tunnel
-	// servers call engines from their own goroutines, so analysis,
-	// replication and work reads go through liveNet's per-node locks.
+	// servers call engines from their own goroutines, so analysis and
+	// replication go through liveNet's per-node locks.
 	process := func(j int, p packet.Packet) { engines[j].ProcessPacket(p) }
-	workOf := func(j int) uint64 { return engines[j].Stats().WorkUnits() }
 	replicate := func(from, to int, p packet.Packet) error {
 		process(to, p)
 		return nil
@@ -224,17 +227,16 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		defer live.close()
-		process, workOf, replicate = live.process, live.workOf, live.send
+		process, replicate = live.process, live.send
 	}
 
 	cfg.Log.Debug("emulation start",
 		"topology", sc.Graph.Name(), "nodes", nNIDS, "sessions", total, "live", cfg.Live)
 
 	// Telemetry: the virtual clock ticks per unit of simulated work, the
-	// tick recorder samples per-node and per-class load into timeline
-	// series, and the first TraceSessions sessions get per-packet spans.
-	tel := newTelemetry(cfg, cfg.Clock, sc, nNIDS, workOf,
-		func(j int) shim.Counters { return shims[j].Counters })
+	// tick recorder (nil unless Obs or Log reads it) samples load into
+	// timeline series, and the first TraceSessions get per-packet spans.
+	tel := newTelemetry(cfg, sc, shims)
 	runSpan := cfg.Trace.StartSpan("emulation.run").
 		Arg("topology", sc.Graph.Name()).Arg("sessions", total)
 	defer runSpan.End()
@@ -243,6 +245,9 @@ func Run(cfg Config) (*Result, error) {
 	w := newSessionWalk(shims, cfg.HashSeed, cfg.Clock, nNIDS)
 	tunnelBytes := make([]uint64, nNIDS)
 	act := func(node int, d shim.Decision, p packet.Packet) error {
+		if tel != nil {
+			tel.charge(node, d, p)
+		}
 		if d.Act == shim.Replicate {
 			tunnelBytes[node] += uint64(len(p.Payload))
 			return replicate(node, d.Mirror, p)
@@ -272,8 +277,9 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			sessSpan.End()
-			tel.addClassBytes(sess.SrcPoP, sess.DstPoP, payloadBytes(sess))
-			tel.sessionDone(si)
+			if tel != nil {
+				tel.sessionDone(si, sess)
+			}
 			if len(owners) != 1 {
 				res.OwnershipErrors++
 			}
@@ -299,9 +305,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Every packet is applied, so the trailing tick, the detection count
-	// and the final stats read the engines without a lock.
-	tel.finish(res.Sessions)
+	// Every packet is applied, so the work check, the detection count and
+	// the final stats read the engines without a lock.
+	if tel != nil {
+		if err := tel.finish(res.Sessions, engines); err != nil {
+			return nil, err
+		}
+	}
 
 	// A malicious session is detected when some engine raised an alert on
 	// its tuple (the supernode knows which sessions were malicious).

@@ -19,8 +19,8 @@ import (
 //
 // The servers call engines from their own goroutines, so in live mode —
 // and only there — every engine access before the drain completes goes
-// through the node's lock: the servers' deliveries, the walk's local
-// analysis (process) and the telemetry's work reads (workOf). Every
+// through the node's lock: the servers' deliveries and the walk's local
+// analysis (process); the telemetry reads no engine before the drain. Every
 // process call also counts into delivered, which the drain waits on.
 type liveNet struct {
 	engines   []*nids.Engine
@@ -63,13 +63,6 @@ func (l *liveNet) process(j int, p packet.Packet) {
 	l.engines[j].ProcessPacket(p)
 	l.mu[j].Unlock()
 	l.delivered.add()
-}
-
-// workOf reads node j's engine work units under the node's lock.
-func (l *liveNet) workOf(j int) uint64 {
-	l.mu[j].Lock()
-	defer l.mu[j].Unlock()
-	return l.engines[j].Stats().WorkUnits()
 }
 
 // send queues p for replication from → to, flushing the pair's batch when

@@ -264,7 +264,10 @@ func TestRunPinnedMore(t *testing.T) {
 // the sessions of the last case are malicious, so such a swap gains or
 // loses an alert about as often as it can. (With every session malicious
 // it would not show: each session has one signature, so a swapped-in
-// session brings one alert on the same tuple.)
+// session brings one alert on the same tuple.) Both runs record a timeline,
+// and the exported timeline sections must be byte-equal too: the telemetry
+// charges work at decision time, so it must not depend on when a tunnel
+// delivers.
 func TestRunLiveMatchesInline(t *testing.T) {
 	g := topology.Internet2()
 	s := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
@@ -281,20 +284,29 @@ func TestRunLiveMatchesInline(t *testing.T) {
 	for _, tc := range cases {
 		payload := tc.payload
 		for _, seed := range []int64{2, 9} {
-			cfg := Config{Assignment: a, TotalSessions: 1500, PayloadBytes: payload, GenSeed: seed, HashSeed: uint32(seed),
-				MaliciousFraction: tc.malicious}
-			inline, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			run := func(live bool) (*Result, string) {
+				vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
+				reg := obs.NewRegistryWithClock(vc)
+				res, err := Run(Config{Assignment: a, TotalSessions: 1500, PayloadBytes: payload, GenSeed: seed,
+					HashSeed: uint32(seed), MaliciousFraction: tc.malicious, Live: live, Obs: reg, Clock: vc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				timeline, err := json.Marshal(reg.Snapshot(nil).Timeline)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, string(timeline)
 			}
-			cfg.Live = true
-			live, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			inline, inlineTimeline := run(false)
+			live, liveTimeline := run(true)
 			if !reflect.DeepEqual(inline, live) {
 				t.Errorf("payload %d seed %d malicious %v: live result differs from inline:\n%+v\n%+v",
 					payload, seed, tc.malicious, *inline, *live)
+			}
+			if inlineTimeline != liveTimeline {
+				t.Errorf("payload %d seed %d malicious %v: live timeline differs from inline",
+					payload, seed, tc.malicious)
 			}
 			if inline.DetectedSessions != inline.MaliciousSessions {
 				t.Errorf("payload %d seed %d malicious %v: detected %d of %d malicious sessions",

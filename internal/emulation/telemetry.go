@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"nwids/internal/core"
+	"nwids/internal/nids"
 	"nwids/internal/obs"
+	"nwids/internal/packet"
 	"nwids/internal/shim"
 )
 
@@ -30,84 +32,79 @@ const (
 	defaultTraceSessions = 8
 )
 
-// telemetry drives the emulation's tick-granularity time series and drift
-// watchers: per-node engine work and shim dispatch deltas, and per-class
-// injected bytes, each recorded at the virtual tick boundary. All series
-// live in the run's registry and export under the timeline section.
+// telemetry drives Run's tick-granularity time series and drift watchers:
+// per-node engine work and shim dispatch deltas, and per-class injected
+// bytes, each charged on the walking goroutine and recorded at the virtual
+// tick boundary, so live mode records what inline mode does.
 type telemetry struct {
 	clock *obs.VirtualClock
-	reg   *obs.Registry
 	every int
+	nPoP  int
+	shims []*shim.Shim
 
 	nodeWork []*obs.Series
 	nodeProc []*obs.Series
+	work     []uint64 // engine work units charged per node so far
 	lastWork []uint64
 	lastCnt  []shim.Counters
 
-	classSeries []*obs.Series
+	classSeries []*obs.Series // by class src·nPoP+dst; nil for no class
 	classBytes  []uint64
-	classIdx    map[[2]int]int
 
 	watchers []*obs.Watcher
-
-	workOf func(j int) uint64
-	cntOf  func(j int) shim.Counters
 }
 
-// newTelemetry builds the tick recorder for a run. reg may be nil (series
-// still record, unregistered, so the code path stays identical); log
-// receives drift events.
-func newTelemetry(cfg Config, clock *obs.VirtualClock, sc *core.Scenario, nNIDS int,
-	workOf func(j int) uint64, cntOf func(j int) shim.Counters) *telemetry {
-	every := cfg.TickSessions
-	if every <= 0 {
-		every = DefaultTickSessions
+// newTelemetry builds the tick recorder for a run, or nil when neither
+// cfg.Obs nor cfg.Log would read it. With a nil cfg.Obs the series record
+// unregistered; the drift watchers exist only for cfg.Log.
+func newTelemetry(cfg Config, sc *core.Scenario, shims []*shim.Shim) *telemetry {
+	if cfg.Obs == nil && cfg.Log == nil {
+		return nil
 	}
+	nNIDS, nPoP := len(shims), sc.Graph.NumNodes()
 	t := &telemetry{
-		clock:    clock,
-		reg:      cfg.Obs,
-		every:    every,
-		nodeWork: make([]*obs.Series, nNIDS),
-		nodeProc: make([]*obs.Series, nNIDS),
-		lastWork: make([]uint64, nNIDS),
-		lastCnt:  make([]shim.Counters, nNIDS),
-		classIdx: make(map[[2]int]int),
-		workOf:   workOf,
-		cntOf:    cntOf,
+		clock:       cfg.Clock,
+		every:       cfg.TickSessions,
+		nPoP:        nPoP,
+		shims:       shims,
+		nodeWork:    make([]*obs.Series, nNIDS),
+		nodeProc:    make([]*obs.Series, nNIDS),
+		work:        make([]uint64, nNIDS),
+		lastWork:    make([]uint64, nNIDS),
+		lastCnt:     make([]shim.Counters, nNIDS),
+		classSeries: make([]*obs.Series, nPoP*nPoP),
+		classBytes:  make([]uint64, nPoP*nPoP),
 	}
 	for j := 0; j < nNIDS; j++ {
-		t.nodeWork[j] = t.reg.Series(fmt.Sprintf("emulation.node.%d.work_units", j))
-		t.nodeProc[j] = t.reg.Series(fmt.Sprintf("emulation.node.%d.processed", j))
-		// Per-node load drift is the signal the future online controller
-		// re-solves on; a tabular CUSUM catches sustained shifts.
-		t.watchers = append(t.watchers, obs.WatchSeries(
-			fmt.Sprintf("emulation.node.%d.work_units", j),
-			t.nodeWork[j], cfg.Log, &obs.CUSUMDetector{}))
+		t.nodeWork[j] = cfg.Obs.Series(fmt.Sprintf("emulation.node.%d.work_units", j))
+		t.nodeProc[j] = cfg.Obs.Series(fmt.Sprintf("emulation.node.%d.processed", j))
+		if cfg.Log != nil { // a tabular CUSUM catches sustained load shifts
+			t.watchers = append(t.watchers, obs.WatchSeries(
+				fmt.Sprintf("emulation.node.%d.work_units", j),
+				t.nodeWork[j], cfg.Log, &obs.CUSUMDetector{}))
+		}
 	}
 	for _, cl := range sc.Classes {
-		key := [2]int{cl.Src, cl.Dst}
-		if _, ok := t.classIdx[key]; ok {
-			continue
+		if c := cl.Src*nPoP + cl.Dst; t.classSeries[c] == nil {
+			t.classSeries[c] = cfg.Obs.Series(fmt.Sprintf("emulation.class.%d-%d.bytes", cl.Src, cl.Dst))
 		}
-		t.classIdx[key] = len(t.classSeries)
-		t.classSeries = append(t.classSeries,
-			t.reg.Series(fmt.Sprintf("emulation.class.%d-%d.bytes", cl.Src, cl.Dst)))
-		t.classBytes = append(t.classBytes, 0)
 	}
 	return t
 }
 
-// addClassBytes accrues injected payload bytes to the (src, dst) class for
-// the current tick.
-func (t *telemetry) addClassBytes(src, dst int, n uint64) {
-	if i, ok := t.classIdx[[2]int{src, dst}]; ok {
-		t.classBytes[i] += n
+// charge accrues what the engine that analyses p under decision d at
+// node will add to its Stats().WorkUnits: the mirror's on Replicate.
+func (t *telemetry) charge(node int, d shim.Decision, p packet.Packet) {
+	if d.Act == shim.Replicate {
+		node = d.Mirror
 	}
+	t.work[node] += uint64(len(p.Payload)) + nids.PacketOverhead
 }
 
-// sessionDone is called after each injected session; on a tick boundary it
-// records the per-node and per-class deltas and polls the drift watchers.
-func (t *telemetry) sessionDone(si int) {
+// sessionDone accrues walked session si's bytes to its class; on a tick
+// boundary it records every series and polls the drift watchers.
+func (t *telemetry) sessionDone(si int, sess *packet.Session) {
+	t.classBytes[sess.SrcPoP*t.nPoP+sess.DstPoP] += payloadBytes(sess)
 	if (si+1)%t.every == 0 {
 		t.tick()
 	}
@@ -117,27 +114,34 @@ func (t *telemetry) sessionDone(si int) {
 func (t *telemetry) tick() {
 	now := t.clock.Now()
 	for j := range t.nodeWork {
-		work := t.workOf(j)
-		t.nodeWork[j].RecordAt(now, float64(work-t.lastWork[j]))
-		t.lastWork[j] = work
+		t.nodeWork[j].RecordAt(now, float64(t.work[j]-t.lastWork[j]))
+		t.lastWork[j] = t.work[j]
 
-		cnt := t.cntOf(j)
+		cnt := t.shims[j].Counters
 		t.nodeProc[j].RecordAt(now, float64(cnt.Sub(t.lastCnt[j]).Processed))
 		t.lastCnt[j] = cnt
 	}
-	for i, s := range t.classSeries {
-		s.RecordAt(now, float64(t.classBytes[i]))
-		t.classBytes[i] = 0
+	for c, s := range t.classSeries {
+		if s != nil {
+			s.RecordAt(now, float64(t.classBytes[c]))
+			t.classBytes[c] = 0
+		}
 	}
 	for _, w := range t.watchers {
 		w.Poll()
 	}
 }
 
-// finish flushes a trailing partial tick so the last sessions are not lost
-// from the timeline.
-func (t *telemetry) finish(sessions int) {
+// finish flushes a trailing partial tick, then requires every engine,
+// which has seen every packet by now, to have done the work charged to it.
+func (t *telemetry) finish(sessions int, engines []*nids.Engine) error {
 	if sessions%t.every != 0 {
 		t.tick()
 	}
+	for j, e := range engines {
+		if got := e.Stats().WorkUnits(); got != t.work[j] {
+			return fmt.Errorf("emulation: node %d engine did %d work units, telemetry charged %d", j, got, t.work[j])
+		}
+	}
+	return nil
 }

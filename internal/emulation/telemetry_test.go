@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"nwids/internal/nids"
 	"nwids/internal/obs"
+	"nwids/internal/packet"
+	"nwids/internal/shim"
 )
 
 // TestEmulationTimelineDeterminism is the telemetry-plane acceptance check:
@@ -141,5 +146,102 @@ func TestEmulationDriftOnLoadShift(t *testing.T) {
 	}
 	if ev1[0].Direction != 1 || ev1[0].Series != "emulation.node.0.work_units" {
 		t.Errorf("event = %+v", ev1[0])
+	}
+}
+
+// TestTelemetryOnlyWhenRead: Run records a timeline only when something
+// reads it. With Obs and Log both nil there is no recorder; either one
+// alone builds one, and the drift watchers exist only for a logger.
+func TestTelemetryOnlyWhenRead(t *testing.T) {
+	_, rep := internet2Assignments(t)
+	sc := rep.Scenario
+	shims := make([]*shim.Shim, rep.NumNIDS())
+	for j, c := range shim.CompileConfigs(rep, 1) {
+		shims[j] = shim.New(c)
+	}
+	log := obs.NewLogger(io.Discard, obs.LevelWarn)
+	cases := []struct {
+		name     string
+		cfg      Config
+		built    bool
+		watchers int
+	}{
+		{"neither", Config{}, false, 0},
+		{"obs", Config{Obs: obs.NewRegistry()}, true, 0},
+		{"log", Config{Log: log}, true, len(shims)},
+		{"both", Config{Obs: obs.NewRegistry(), Log: log}, true, len(shims)},
+	}
+	for _, tc := range cases {
+		tel := newTelemetry(tc.cfg.withDefaults(), sc, shims)
+		if (tel != nil) != tc.built {
+			t.Errorf("%s: telemetry built = %v, want %v", tc.name, tel != nil, tc.built)
+			continue
+		}
+		if tel != nil && len(tel.watchers) != tc.watchers {
+			t.Errorf("%s: %d watchers, want %d", tc.name, len(tel.watchers), tc.watchers)
+		}
+	}
+}
+
+// TestRunLogOnlyDrift: a Run with a logger and no registry records its
+// timeline unregistered, and its watchers log the same drift events as the
+// same Run with a registry attached.
+func TestRunLogOnlyDrift(t *testing.T) {
+	_, rep := internet2Assignments(t)
+	drift := func(reg *obs.Registry) []map[string]any {
+		var buf bytes.Buffer
+		_, err := Run(Config{
+			Assignment: rep, TotalSessions: 2000, PacketsPerSession: 2, PayloadBytes: 32,
+			GenSeed: 3, TickSessions: 16, Obs: reg, Log: obs.NewLogger(&buf, obs.LevelWarn),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := obs.DecodeEvents(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields []map[string]any
+		for _, ev := range events {
+			if ev.Msg == "drift" {
+				fields = append(fields, ev.Fields)
+			}
+		}
+		return fields
+	}
+	logOnly := drift(nil)
+	withObs := drift(obs.NewRegistryWithClock(obs.NewVirtualClock(time.Unix(0, 0).UTC())))
+	if len(logOnly) == 0 {
+		t.Fatal("no drift event fired; the comparison is vacuous")
+	}
+	if !reflect.DeepEqual(logOnly, withObs) {
+		t.Errorf("drift events differ:\nlog only %v\nwith obs %v", logOnly, withObs)
+	}
+}
+
+// TestTelemetryFinishChecksWork: after the drain every engine must have
+// done the work the walk charged to it; a node whose engine did not is an
+// error that names it.
+func TestTelemetryFinishChecksWork(t *testing.T) {
+	_, rep := internet2Assignments(t)
+	shims := make([]*shim.Shim, rep.NumNIDS())
+	engines := make([]*nids.Engine, rep.NumNIDS())
+	for j, c := range shim.CompileConfigs(rep, 1) {
+		shims[j] = shim.New(c)
+		engines[j] = nids.NewEngine(nids.DefaultRules(), 20)
+	}
+	tel := newTelemetry(Config{Obs: obs.NewRegistry()}.withDefaults(), rep.Scenario, shims)
+	p := packet.Packet{Payload: make([]byte, 100)}
+	tel.charge(2, shim.Decision{Act: shim.Process}, p)
+	tel.charge(0, shim.Decision{Act: shim.Replicate, Mirror: 3}, p)
+	engines[2].ProcessPacket(p)
+	engines[3].ProcessPacket(p)
+	if err := tel.finish(1, engines); err != nil {
+		t.Fatalf("charge matches the engines: %v", err)
+	}
+	tel.charge(5, shim.Decision{Act: shim.Process}, p) // never delivered
+	err := tel.finish(1, engines)
+	if err == nil || !strings.Contains(err.Error(), "node 5") {
+		t.Errorf("undelivered packet at node 5: error %v", err)
 	}
 }
