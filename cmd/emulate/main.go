@@ -57,10 +57,11 @@ func main() {
 		log.Error("unknown topology", "topology", *topo)
 		os.Exit(2)
 	}
-	// One virtual clock drives the registry, the tracer and the emulation,
-	// so every exported timestamp is deterministic for a given workload.
+	// One virtual clock drives the tracer and the emulation, which stamps
+	// its timeline samples from it, so every span and sample timestamp is
+	// deterministic for a given workload.
 	vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
-	reg := obs.NewRegistryWithClock(vc)
+	reg := obs.NewRegistry()
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		tracer = obs.NewTracer(vc)
@@ -130,13 +131,7 @@ func main() {
 
 	if *metricsOut != "" {
 		// Fold the solver's instrumentation into the same artifact.
-		st := a.LPStats
-		reg.Counter("lp.solves").Inc()
-		reg.Counter("lp.iterations").Add(uint64(a.Iterations))
-		reg.Counter("lp.pivots.phase1").Add(uint64(st.Phase1Pivots))
-		reg.Counter("lp.pivots.phase2").Add(uint64(st.Phase2Pivots))
-		reg.Counter("lp.refactorizations").Add(uint64(st.Refactorizations))
-		reg.Timer("lp.solve").ObserveDuration(a.SolveTime)
+		core.RecordLPStats(reg, a.Iterations, a.SolveTime, a.LPStats)
 		meta := map[string]any{
 			"run": "emulate", "topology": g.Name(), "sessions": *sessions,
 			"live": *live, "seed": *seed, "dc": *dcCap, "mll": *mll,

@@ -108,7 +108,7 @@ func main() {
 			log.Error("metrics write failed", "err", err.Error())
 			os.Exit(1)
 		}
-		log.Info("metrics written", "path", *metricsOut, "instruments", len(reg.Names()))
+		log.Info("metrics written", "path", *metricsOut)
 	}
 	if err := stopProf(); err != nil {
 		log.Error("profile write failed", "err", err.Error())

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 
+	"nwids/internal/core"
 	"nwids/internal/lp"
 	"nwids/internal/obs"
 )
@@ -90,7 +91,7 @@ func main() {
 	}
 	if *metricsOut != "" {
 		reg := obs.NewRegistry()
-		recordSolveStats(reg, sol)
+		core.RecordLPStats(reg, sol.Iterations, sol.SolveTime, sol.Stats)
 		meta := map[string]any{"run": "lpsolve", "problem": p.Name(), "status": sol.Status.String()}
 		if err := reg.WriteJSONFile(*metricsOut, meta); err != nil {
 			log.Error("metrics write failed", "err", err.Error())
@@ -111,23 +112,4 @@ func main() {
 	if sol.Status != lp.Optimal {
 		os.Exit(1)
 	}
-}
-
-// recordSolveStats exports one solution's instrumentation into a registry
-// using the same key schema as cmd/experiments.
-func recordSolveStats(reg *obs.Registry, sol *lp.Solution) {
-	st := sol.Stats
-	reg.Counter("lp.solves").Inc()
-	reg.Counter("lp.iterations").Add(uint64(sol.Iterations))
-	reg.Counter("lp.pivots.phase1").Add(uint64(st.Phase1Pivots))
-	reg.Counter("lp.pivots.phase2").Add(uint64(st.Phase2Pivots))
-	reg.Counter("lp.bound_flips").Add(uint64(st.BoundFlips))
-	reg.Counter("lp.degenerate_steps").Add(uint64(st.DegenerateSteps))
-	reg.Counter("lp.bland_activations").Add(uint64(st.BlandActivations))
-	reg.Counter("lp.refactorizations").Add(uint64(st.Refactorizations))
-	reg.Gauge("lp.max_eta_at_refactor").Max(float64(st.MaxEtaAtRefactor))
-	reg.Gauge("lp.max_residual").Max(st.MaxResidual)
-	reg.Timer("lp.solve").ObserveDuration(sol.SolveTime)
-	reg.Timer("lp.phase1").ObserveDuration(st.Phase1Time)
-	reg.Timer("lp.phase2").ObserveDuration(st.Phase2Time)
 }

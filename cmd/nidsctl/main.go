@@ -7,6 +7,11 @@
 //
 //	nidsctl -topology Internet2 -arch replicate -mll 0.4 -dc 10 [-ranges]
 //	nidsctl -topology Internet2 -watch flash [-sessions 480]
+//	nidsctl -topology NTT -listen localhost:9090
+//
+// With -listen, the registry is served live on /metrics (OpenMetrics) plus
+// /healthz and the pprof handlers under /debug/pprof/, and the process
+// stays up after the solve until interrupted; no other flag serves pprof.
 //
 // Architectures: ingress, onpath, replicate, onehop, twohop, dc+onehop,
 // augmented.
@@ -50,7 +55,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write solve metrics to this JSON file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file (about:tracing / Perfetto) to this path")
 	listen := flag.String("listen", "", "serve /metrics, /healthz and pprof on this address (e.g. localhost:9090) and stay up after the solve")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -68,14 +72,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("telemetry serving on http://%s/metrics\n", addr)
-	}
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			log.Error("pprof server failed", "err", err.Error())
-			os.Exit(1)
-		}
-		log.Info("pprof serving", "addr", "http://"+addr+"/debug/pprof/")
 	}
 	stopProf, err := obs.StartProfiling(*cpuProfile, *memProfile)
 	if err != nil {
@@ -162,25 +158,12 @@ func main() {
 			st.Phase1Pivots, st.Phase1Time.Round(1000), st.Phase2Pivots, st.Phase2Time.Round(1000),
 			st.Refactorizations, st.MaxResidual)
 	}
-	{
-		st := a.LPStats
-		reg.Counter("lp.solves").Inc()
-		reg.Counter("lp.iterations").Add(uint64(a.Iterations))
-		reg.Counter("lp.pivots.phase1").Add(uint64(st.Phase1Pivots))
-		reg.Counter("lp.pivots.phase2").Add(uint64(st.Phase2Pivots))
-		reg.Counter("lp.bound_flips").Add(uint64(st.BoundFlips))
-		reg.Counter("lp.degenerate_steps").Add(uint64(st.DegenerateSteps))
-		reg.Counter("lp.bland_activations").Add(uint64(st.BlandActivations))
-		reg.Counter("lp.refactorizations").Add(uint64(st.Refactorizations))
-		reg.Gauge("lp.max_eta_at_refactor").Max(float64(st.MaxEtaAtRefactor))
-		reg.Gauge("lp.max_residual").Max(st.MaxResidual)
-		reg.Timer("lp.solve").ObserveDuration(a.SolveTime)
-		loads := reg.Histogram("node.load")
-		for j := range a.NodeLoad {
-			loads.Observe(a.NodeLoad[j][0])
-		}
-		reg.Gauge("node.load.max").Max(a.MaxLoad())
+	core.RecordLPStats(reg, a.Iterations, a.SolveTime, a.LPStats)
+	loads := reg.Histogram("node.load")
+	for j := range a.NodeLoad {
+		loads.Observe(a.NodeLoad[j][0])
 	}
+	reg.Gauge("node.load.max").Max(a.MaxLoad())
 	if *metricsOut != "" {
 		meta := map[string]any{
 			"run": "nidsctl", "topology": g.Name(), "arch": *arch,

@@ -391,7 +391,7 @@ func TestControllerWatchPollDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := obs.NewSeries(0, nil)
+	series := obs.NewSeries(0)
 	c.Watch("class-0-3", series)
 	t0 := time.Unix(0, 0).UTC()
 	for i := 0; i < 12; i++ {

@@ -131,6 +131,32 @@ type Assignment struct {
 	LPStats    lp.SolveStats
 }
 
+// RecordLPStats adds one LP solve to reg under the lp.* keys that every
+// -metrics artifact shares: counters lp.solves, lp.iterations,
+// lp.pivots.phase1/phase2, lp.bound_flips, lp.degenerate_steps,
+// lp.bland_activations, lp.refactorizations, lp.warm.hits,
+// lp.warm.phase1_skips and lp.devex_resets; max gauges
+// lp.max_eta_at_refactor and lp.max_residual; timers lp.solve, lp.phase1
+// and lp.phase2. A nil registry records nothing.
+func RecordLPStats(reg *obs.Registry, iterations int, solveTime time.Duration, st lp.SolveStats) {
+	reg.Counter("lp.solves").Inc()
+	reg.Counter("lp.iterations").Add(uint64(iterations))
+	reg.Counter("lp.pivots.phase1").Add(uint64(st.Phase1Pivots))
+	reg.Counter("lp.pivots.phase2").Add(uint64(st.Phase2Pivots))
+	reg.Counter("lp.bound_flips").Add(uint64(st.BoundFlips))
+	reg.Counter("lp.degenerate_steps").Add(uint64(st.DegenerateSteps))
+	reg.Counter("lp.bland_activations").Add(uint64(st.BlandActivations))
+	reg.Counter("lp.refactorizations").Add(uint64(st.Refactorizations))
+	reg.Counter("lp.warm.hits").Add(uint64(st.WarmStartHits))
+	reg.Counter("lp.warm.phase1_skips").Add(uint64(st.Phase1Skips))
+	reg.Counter("lp.devex_resets").Add(uint64(st.DevexResets))
+	reg.Gauge("lp.max_eta_at_refactor").Max(float64(st.MaxEtaAtRefactor))
+	reg.Gauge("lp.max_residual").Max(st.MaxResidual)
+	reg.Timer("lp.solve").ObserveDuration(solveTime)
+	reg.Timer("lp.phase1").ObserveDuration(st.Phase1Time)
+	reg.Timer("lp.phase2").ObserveDuration(st.Phase2Time)
+}
+
 // NumNIDS returns the number of NIDS nodes (PoPs plus DC when present).
 func (a *Assignment) NumNIDS() int {
 	n := a.Scenario.Graph.NumNodes()

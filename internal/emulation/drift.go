@@ -328,7 +328,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	// between runs would cross-contaminate the detectors (the controller's
 	// behavior must be a pure function of this run's trace). Series and
 	// byte counts are indexed by dense class src·nPoP+dst.
-	runObs := obs.NewRegistryWithClock(cfg.Clock)
+	runObs := obs.NewRegistry()
 	classKeys := watchedClasses(base, cfg.WatchClasses)
 	watched := make([]int, len(classKeys))
 	classSeries := make([]*obs.Series, nPoP*nPoP)

@@ -55,7 +55,7 @@ func TestRunPinned(t *testing.T) {
 	_, rep := internet2Assignments(t)
 	for _, seed := range []int64{1, 4} {
 		vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
-		reg := obs.NewRegistryWithClock(vc)
+		reg := obs.NewRegistry()
 		tr := obs.NewTracer(vc)
 		res, err := Run(Config{
 			Assignment: rep, TotalSessions: 600, PacketsPerSession: 6, PayloadBytes: 64,
@@ -286,7 +286,7 @@ func TestRunLiveMatchesInline(t *testing.T) {
 		for _, seed := range []int64{2, 9} {
 			run := func(live bool) (*Result, string) {
 				vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
-				reg := obs.NewRegistryWithClock(vc)
+				reg := obs.NewRegistry()
 				res, err := Run(Config{Assignment: a, TotalSessions: 1500, PayloadBytes: payload, GenSeed: seed,
 					HashSeed: uint32(seed), MaliciousFraction: tc.malicious, Live: live, Obs: reg, Clock: vc})
 				if err != nil {

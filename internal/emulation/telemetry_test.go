@@ -23,7 +23,7 @@ func TestEmulationTimelineDeterminism(t *testing.T) {
 	_, rep := internet2Assignments(t)
 	one := func() (string, string) {
 		vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
-		reg := obs.NewRegistryWithClock(vc)
+		reg := obs.NewRegistry()
 		tr := obs.NewTracer(vc)
 		_, err := Run(Config{
 			Assignment: rep, TotalSessions: 300, GenSeed: 9,
@@ -58,7 +58,7 @@ func TestEmulationTimelineDeterminism(t *testing.T) {
 func TestEmulationTimelineContents(t *testing.T) {
 	_, rep := internet2Assignments(t)
 	vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
-	reg := obs.NewRegistryWithClock(vc)
+	reg := obs.NewRegistry()
 	res, err := Run(Config{
 		Assignment: rep, TotalSessions: 300, GenSeed: 9,
 		Obs: reg, Clock: vc, TickSessions: 32,
@@ -119,7 +119,7 @@ func nodeSeriesName(j int, kind string) string {
 func TestEmulationDriftOnLoadShift(t *testing.T) {
 	one := func() []obs.DriftEvent {
 		vc := obs.NewVirtualClock(time.Unix(0, 0).UTC())
-		s := obs.NewSeries(obs.DefaultSeriesCap, vc)
+		s := obs.NewSeries(obs.DefaultSeriesCap)
 		w := obs.WatchSeries("emulation.node.0.work_units", s, nil, &obs.CUSUMDetector{})
 		// Steady per-tick load, then the class mix shifts and the node's
 		// work doubles and stays there.
@@ -130,12 +130,13 @@ func TestEmulationDriftOnLoadShift(t *testing.T) {
 			}
 			return base
 		}
+		var events []obs.DriftEvent
 		for tick := 0; tick < 60; tick++ {
-			s.Record(load(tick))
+			s.RecordAt(vc.Now(), load(tick))
 			vc.Advance(640 * time.Microsecond) // one 64-session tick of packetTicks
-			w.Poll()
+			events = append(events, w.Poll()...)
 		}
-		return w.Events()
+		return events
 	}
 	ev1, ev2 := one(), one()
 	if len(ev1) != 1 {
@@ -197,20 +198,22 @@ func TestRunLogOnlyDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := obs.DecodeEvents(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var fields []map[string]any
-		for _, ev := range events {
-			if ev.Msg == "drift" {
-				fields = append(fields, ev.Fields)
+		dec := json.NewDecoder(&buf)
+		for dec.More() {
+			var ev map[string]any
+			if err := dec.Decode(&ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev["msg"] == "drift" {
+				delete(ev, "ts") // the logger stamps wall time
+				fields = append(fields, ev)
 			}
 		}
 		return fields
 	}
 	logOnly := drift(nil)
-	withObs := drift(obs.NewRegistryWithClock(obs.NewVirtualClock(time.Unix(0, 0).UTC())))
+	withObs := drift(obs.NewRegistry())
 	if len(logOnly) == 0 {
 		t.Fatal("no drift event fired; the comparison is vacuous")
 	}

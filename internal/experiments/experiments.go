@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"nwids/internal/core"
-	"nwids/internal/lp"
 	"nwids/internal/obs"
 	"nwids/internal/topology"
 	"nwids/internal/traffic"
@@ -68,32 +67,12 @@ func (o Options) observe(a *core.Assignment) {
 	if o.Obs == nil || a == nil {
 		return
 	}
-	recordLPStats(o.Obs, a.Iterations, a.LPStats)
-	o.Obs.Timer("lp.solve").ObserveDuration(a.SolveTime)
+	core.RecordLPStats(o.Obs, a.Iterations, a.SolveTime, a.LPStats)
 	loads := o.Obs.Histogram("node.load")
 	for j := range a.NodeLoad {
 		loads.Observe(a.NodeLoad[j][0])
 	}
 	o.Obs.Gauge("node.load.max").Max(a.MaxLoad())
-}
-
-// recordLPStats exports one solve's instrumentation counters.
-func recordLPStats(reg *obs.Registry, iterations int, st lp.SolveStats) {
-	reg.Counter("lp.solves").Inc()
-	reg.Counter("lp.iterations").Add(uint64(iterations))
-	reg.Counter("lp.pivots.phase1").Add(uint64(st.Phase1Pivots))
-	reg.Counter("lp.pivots.phase2").Add(uint64(st.Phase2Pivots))
-	reg.Counter("lp.bound_flips").Add(uint64(st.BoundFlips))
-	reg.Counter("lp.degenerate_steps").Add(uint64(st.DegenerateSteps))
-	reg.Counter("lp.bland_activations").Add(uint64(st.BlandActivations))
-	reg.Counter("lp.refactorizations").Add(uint64(st.Refactorizations))
-	reg.Counter("lp.warm.hits").Add(uint64(st.WarmStartHits))
-	reg.Counter("lp.warm.phase1_skips").Add(uint64(st.Phase1Skips))
-	reg.Counter("lp.devex_resets").Add(uint64(st.DevexResets))
-	reg.Gauge("lp.max_eta_at_refactor").Max(float64(st.MaxEtaAtRefactor))
-	reg.Gauge("lp.max_residual").Max(st.MaxResidual)
-	reg.Timer("lp.phase1").ObserveDuration(st.Phase1Time)
-	reg.Timer("lp.phase2").ObserveDuration(st.Phase2Time)
 }
 
 // scenarioFor builds the default evaluation scenario for a named topology:

@@ -26,11 +26,11 @@ var clocksafeAllowedMethods = map[string]bool{
 }
 
 // Clocksafe flags direct time.Now and time.Since calls in the telemetry
-// plane. Telemetry code must read time through an injected obs.Clock
-// (Registry.Clock, Series/Tracer construction) so that virtual-clock runs
-// stay deterministic; storing time.Now as a function value (the Logger's
-// injectable `now` field) is the approved escape hatch for components that
-// deliberately stamp wall time.
+// plane. Telemetry code must read time through an injected obs.Clock (the
+// tracer's clock, or the clock a caller reads for Series.RecordAt) so that
+// virtual-clock runs stay deterministic; storing time.Now as a function
+// value (the Logger's injectable `now` field) is the approved escape hatch
+// for components that deliberately stamp wall time.
 var Clocksafe = &lint.Analyzer{
 	Name: "clocksafe",
 	Doc:  "direct wall-clock call in the telemetry plane; read time through the injected obs.Clock",

@@ -5,19 +5,18 @@ import (
 	"time"
 )
 
-// Clock is the time source behind every obs instrument that stamps
-// timestamps (Series samples, Timer spans, trace spans, the logger). The
-// indirection is what lets the determinism gates hold with telemetry
-// enabled: real binaries inject Wall, while the emulation injects a
-// VirtualClock it advances one tick per unit of simulated work, so every
-// exported timestamp is a pure function of the workload.
+// Clock is a time source. The tracer stamps spans through one (NewTracer),
+// and the emulation advances a VirtualClock one tick per unit of simulated
+// work and stamps its series samples from it, so every span and sample in
+// an emulation artifact is a pure function of the workload. Real binaries
+// use Wall.
 type Clock interface {
 	// Now returns the current time of this clock.
 	Now() time.Time
 }
 
-// Wall is the real-time clock. It is the default for every instrument that
-// was not given an explicit Clock.
+// Wall is the real-time clock: what Timer spans measure, and the tracer's
+// clock when NewTracer is given nil.
 var Wall Clock = wallClock{}
 
 type wallClock struct{}
@@ -26,18 +25,9 @@ type wallClock struct{}
 // read in the telemetry plane (see the clocksafe lint rule).
 func (wallClock) Now() time.Time { return time.Now() }
 
-// clockOrWall substitutes Wall for a nil clock.
-func clockOrWall(c Clock) Clock {
-	if c == nil {
-		return Wall
-	}
-	return c
-}
-
 // VirtualClock is a manually advanced Clock for deterministic telemetry:
-// it only moves when Advance or Set is called, so timestamps recorded
-// against it are byte-identical run to run. The zero value starts at the
-// Unix epoch; NewVirtualClock picks an explicit origin.
+// it only moves when Advance is called, so timestamps recorded against it
+// are byte-identical run to run. NewVirtualClock picks its origin.
 type VirtualClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -62,11 +52,4 @@ func (c *VirtualClock) Advance(d time.Duration) time.Time {
 	defer c.mu.Unlock()
 	c.t = c.t.Add(d)
 	return c.t
-}
-
-// Set jumps the clock to t.
-func (c *VirtualClock) Set(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = t
 }

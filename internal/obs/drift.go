@@ -209,11 +209,11 @@ type Watcher struct {
 	log       *Logger
 	detectors []Detector
 	cursor    uint64
-	events    []DriftEvent
 }
 
-// WatchSeries creates a watcher over s. A nil logger records events
-// without emitting them; detectors run in the given order.
+// WatchSeries creates a watcher over s. With a nil logger Poll still
+// returns the events it fires but logs nothing; detectors run in the given
+// order.
 func WatchSeries(name string, s *Series, log *Logger, detectors ...Detector) *Watcher {
 	return &Watcher{name: name, series: s, log: log, detectors: detectors}
 }
@@ -242,14 +242,5 @@ func (w *Watcher) Poll() []DriftEvent {
 				"score", ev.Score, "direction", ev.Direction)
 		}
 	}
-	w.events = append(w.events, fired...)
 	return fired
-}
-
-// Events returns every event the watcher has fired since creation.
-func (w *Watcher) Events() []DriftEvent {
-	if w == nil {
-		return nil
-	}
-	return w.events
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -102,42 +101,37 @@ func TestWatcherLogsDrift(t *testing.T) {
 	vc := virtualAt(0)
 	var buf bytes.Buffer
 	log := NewLogger(&buf, LevelWarn)
-	s := NewSeries(256, vc)
+	s := NewSeries(256)
 	w := WatchSeries("emulation.node.0.work_units", s, log, &CUSUMDetector{})
 
 	for i := 0; i < 40; i++ {
-		s.Record(1.0 + 0.01*float64(i%3-1))
+		s.RecordAt(vc.Now(), 1.0+0.01*float64(i%3-1))
 		vc.Advance(time.Second)
-		w.Poll()
-	}
-	if len(w.Events()) != 0 {
-		t.Fatalf("fired during baseline: %+v", w.Events())
+		if fired := w.Poll(); len(fired) != 0 {
+			t.Fatalf("fired during baseline: %+v", fired)
+		}
 	}
 	for i := 0; i < 40; i++ {
-		s.Record(2.0 + 0.01*float64(i%3-1))
+		s.RecordAt(vc.Now(), 2.0+0.01*float64(i%3-1))
 		vc.Advance(time.Second)
 	}
-	w.Poll() // one poll drains the whole batch
-	if len(w.Events()) != 1 {
-		t.Fatalf("got %d events, want 1", len(w.Events()))
+	// One poll drains the whole batch.
+	if fired := w.Poll(); len(fired) != 1 {
+		t.Fatalf("got %d events, want 1", len(fired))
 	}
 
-	evs, err := DecodeEvents(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var drift int
-	for _, e := range evs {
-		if e.Msg == "drift" {
+	for _, e := range decodeLog(t, &buf) {
+		if e["msg"] == "drift" {
 			drift++
-			if e.Fields["series"] != "emulation.node.0.work_units" {
-				t.Errorf("series field = %v", e.Fields["series"])
+			if e["series"] != "emulation.node.0.work_units" {
+				t.Errorf("series field = %v", e["series"])
 			}
-			if e.Fields["detector"] != "cusum" {
-				t.Errorf("detector field = %v", e.Fields["detector"])
+			if e["detector"] != "cusum" {
+				t.Errorf("detector field = %v", e["detector"])
 			}
-			if e.Fields["direction"] != float64(1) {
-				t.Errorf("direction field = %v", e.Fields["direction"])
+			if e["direction"] != float64(1) {
+				t.Errorf("direction field = %v", e["direction"])
 			}
 		}
 	}
@@ -146,19 +140,19 @@ func TestWatcherLogsDrift(t *testing.T) {
 	}
 }
 
-// TestWatcherNilLog: a Watcher without a logger still collects events.
+// TestWatcherNilLog: a Watcher without a logger still returns its events.
 func TestWatcherNilLog(t *testing.T) {
-	s := NewSeries(256, virtualAt(0))
+	s := NewSeries(256)
 	w := WatchSeries("x", s, nil, &EWMADetector{})
-	for i := 0; i < 40; i++ {
-		s.Record(1.0 + 0.01*float64(i%3-1))
+	for i := 0; i < 80; i++ {
+		level := 1.0
+		if i >= 40 {
+			level = 2.0
+		}
+		s.RecordAt(time.Unix(int64(i), 0), level+0.01*float64(i%3-1))
 	}
-	for i := 0; i < 40; i++ {
-		s.Record(2.0 + 0.01*float64(i%3-1))
-	}
-	w.Poll()
-	if len(w.Events()) != 1 {
-		t.Errorf("got %d events, want 1", len(w.Events()))
+	if fired := w.Poll(); len(fired) != 1 {
+		t.Errorf("got %d events, want 1", len(fired))
 	}
 }
 
@@ -166,25 +160,25 @@ func TestWatcherNilLog(t *testing.T) {
 // Poll that finds nothing new allocates nothing, and a Poll that consumes
 // one quiet sample allocates only the one-sample slice Since returns.
 func TestWatcherPollAllocFree(t *testing.T) {
-	s := NewSeries(0, virtualAt(0))
+	s := NewSeries(0)
 	w := WatchSeries("load", s, nil, &CUSUMDetector{}, &EWMADetector{})
 	for i := 0; i < 2*DefaultSeriesCap; i++ {
 		s.RecordAt(time.Unix(int64(i), 0), 100)
 	}
-	w.Poll()
-	if allocs := testing.AllocsPerRun(100, func() { w.Poll() }); allocs != 0 {
+	fired := len(w.Poll())
+	if allocs := testing.AllocsPerRun(100, func() { fired += len(w.Poll()) }); allocs != 0 {
 		t.Errorf("Poll with nothing new: %v allocs/run, want 0", allocs)
 	}
 	at := int64(2 * DefaultSeriesCap)
 	allocs := testing.AllocsPerRun(100, func() {
 		s.RecordAt(time.Unix(at, 0), 100)
 		at++
-		w.Poll()
+		fired += len(w.Poll())
 	})
 	if allocs > 1 {
 		t.Errorf("Poll with one new sample: %v allocs/run, want at most 1", allocs)
 	}
-	if len(w.Events()) != 0 {
-		t.Fatalf("flat series fired %d drift events", len(w.Events()))
+	if fired != 0 {
+		t.Fatalf("flat series fired %d drift events", fired)
 	}
 }

@@ -106,10 +106,10 @@ func appendSummaries(b []byte, hs map[string]HistogramSnapshot, suffix string) [
 
 // TelemetryMux returns an http.Handler exposing the registry: /metrics
 // (OpenMetrics text), /healthz (200 "ok"), and the pprof endpoints under
-// /debug/pprof/. meta, which may be nil, is re-evaluated per scrape and
-// attached to the snapshot (the JSON meta section does not render in
-// OpenMetrics, but building the snapshot through the same path keeps the
-// two exports in lockstep).
+// /debug/pprof/ (the only place the binaries serve pprof). meta, which may
+// be nil, is re-evaluated per scrape and attached to the snapshot (the JSON
+// meta section does not render in OpenMetrics, but building the snapshot
+// through the same path keeps the two exports in lockstep).
 func TelemetryMux(reg *Registry, meta func() map[string]any) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -135,9 +135,8 @@ func TelemetryMux(reg *Registry, meta func() map[string]any) *http.ServeMux {
 }
 
 // ServeTelemetry serves TelemetryMux on addr (e.g. "localhost:9090" or
-// "127.0.0.1:0") in a background goroutine and returns the bound address,
-// mirroring ServePprof. The registry keeps updating live; every scrape
-// sees the current snapshot.
+// "127.0.0.1:0") in a background goroutine and returns the bound address.
+// The registry keeps updating live; every scrape sees the current snapshot.
 func ServeTelemetry(addr string, reg *Registry, meta func() map[string]any) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

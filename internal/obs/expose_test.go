@@ -24,17 +24,17 @@ func TestSchemaVersion(t *testing.T) {
 // comparison is byte-for-byte.
 func TestWriteOpenMetricsGolden(t *testing.T) {
 	vc := NewVirtualClock(time.Unix(10, 0).UTC())
-	reg := NewRegistryWithClock(vc)
+	reg := NewRegistry()
 	reg.Counter("shim.processed").Add(42)
-	reg.Gauge("node.load.max").Set(1.25)
+	reg.Gauge("node.load.max").Max(1.25)
 	for i := 1; i <= 4; i++ {
 		reg.Histogram("node.load").Observe(float64(i))
 	}
 	reg.Timer("lp.solve").ObserveDuration(1500 * time.Millisecond)
 	s := reg.Series("emulation.node.0.work_units")
-	s.Record(10)
+	s.RecordAt(vc.Now(), 10)
 	vc.Advance(time.Second)
-	s.Record(30)
+	s.RecordAt(vc.Now(), 30)
 
 	var buf bytes.Buffer
 	if err := WriteOpenMetrics(&buf, reg.Snapshot(nil)); err != nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,13 +11,12 @@ import (
 // Level orders log severities.
 type Level int8
 
-// Severities, least to most severe. LevelOff suppresses everything.
+// Severities, least to most severe.
 const (
 	LevelDebug Level = iota
 	LevelInfo
 	LevelWarn
 	LevelError
-	LevelOff
 )
 
 // String implements fmt.Stringer.
@@ -32,28 +30,8 @@ func (l Level) String() string {
 		return "warn"
 	case LevelError:
 		return "error"
-	case LevelOff:
-		return "off"
 	default:
 		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// ParseLevel converts a level name to a Level.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	case "off", "none":
-		return LevelOff, nil
-	default:
-		return LevelOff, fmt.Errorf("obs: unknown log level %q", s)
 	}
 }
 
@@ -78,15 +56,7 @@ func NewLogger(w io.Writer, level Level) *Logger {
 
 // Enabled reports whether events at level would be written.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= l.level && l.level != LevelOff
-}
-
-// Event is one decoded log line (see DecodeEvents).
-type Event struct {
-	TS     time.Time
-	Level  string
-	Msg    string
-	Fields map[string]any
+	return l != nil && level >= l.level
 }
 
 // log writes one event. kv is alternating key, value pairs; a trailing key
@@ -158,33 +128,4 @@ func (l *Logger) Logf(level Level) func(format string, args ...any) {
 	return func(format string, args ...any) {
 		l.log(level, fmt.Sprintf(format, args...))
 	}
-}
-
-// DecodeEvents parses a JSONL event stream written by Logger.
-func DecodeEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var raw map[string]any
-		if err := json.Unmarshal(line, &raw); err != nil {
-			return out, fmt.Errorf("obs: bad event line %q: %w", line, err)
-		}
-		var ev Event
-		if s, ok := raw["ts"].(string); ok {
-			ev.TS, _ = time.Parse(time.RFC3339Nano, s)
-		}
-		ev.Level, _ = raw["level"].(string)
-		ev.Msg, _ = raw["msg"].(string)
-		delete(raw, "ts")
-		delete(raw, "level")
-		delete(raw, "msg")
-		ev.Fields = raw
-		out = append(out, ev)
-	}
-	return out, sc.Err()
 }

@@ -37,7 +37,6 @@ func TestConcurrentInstruments(t *testing.T) {
 				for i := lo; i < hi; i++ {
 					reg.Counter("c").Inc()
 					reg.Counter("c2").Add(2)
-					reg.Gauge("g").Set(float64(i))
 					reg.Gauge("gmax").Max(float64(w*perWorker + i))
 					reg.Histogram("h").Observe(float64(i))
 					reg.Timer("t").ObserveDuration(time.Duration(i) * time.Microsecond)
@@ -98,43 +97,34 @@ func TestConcurrentInstruments(t *testing.T) {
 }
 
 // TestNilRegistry checks that a nil registry is a usable no-op sink for
-// every instrument, including the telemetry-plane additions (Series, the
-// registry clock) and the span API reachable from a nil tracer.
+// every instrument, including Series and the span API reachable from a
+// nil tracer.
 func TestNilRegistry(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x").Inc()
-	reg.Gauge("x").Set(1)
+	reg.Gauge("x").Max(1)
 	reg.Histogram("x").Observe(1)
 	reg.Timer("x").Start().Stop()
 
 	// Series from a nil registry is live but unregistered: recording works,
 	// nothing shows up in snapshots.
 	s := reg.Series("x")
-	s.Record(1)
+	s.RecordAt(time.Unix(0, 0), 1)
 	s.RecordAt(time.Unix(0, 0), 2)
-	if s.Len() != 2 || s.Total() != 2 {
-		t.Errorf("nil-registry series len/total = %d/%d", s.Len(), s.Total())
+	if got, cur := s.Since(0); len(got) != 2 || cur != 2 {
+		t.Errorf("nil-registry series len/cursor = %d/%d", len(got), cur)
 	}
-	if _, cur := s.Since(0); cur != 2 {
-		t.Errorf("nil-registry series cursor = %d", cur)
+	if snap := s.Snapshot(); snap.Count != 2 || snap.Stats.Count != 2 {
+		t.Errorf("nil-registry series snapshot count/stats = %d/%d", snap.Count, snap.Stats.Count)
 	}
-	s.Stats(0)
-	s.Snapshot()
 
 	// Watching an unregistered series is equally safe, as is a nil watcher.
 	WatchSeries("x", s, nil, &EWMADetector{}).Poll()
 	var w *Watcher
-	w.Poll()
-	if w.Events() != nil {
-		t.Error("nil watcher has events")
+	if w.Poll() != nil {
+		t.Error("nil watcher fired events")
 	}
 
-	if reg.Clock() != Wall {
-		t.Error("nil registry clock should be Wall")
-	}
-	if names := reg.Names(); names != nil {
-		t.Errorf("nil registry has instruments %v", names)
-	}
 	snap := reg.Snapshot(nil)
 	if snap.Schema != Schema || len(snap.Counters) != 0 || len(snap.Timeline) != 0 {
 		t.Errorf("nil registry snapshot = %+v", snap)
@@ -143,7 +133,9 @@ func TestNilRegistry(t *testing.T) {
 
 func TestTimerSpan(t *testing.T) {
 	var tm Timer
-	d := tm.Time(func() { time.Sleep(time.Millisecond) })
+	sp := tm.Start()
+	time.Sleep(time.Millisecond)
+	d := sp.Stop()
 	if d < time.Millisecond {
 		t.Errorf("span duration %v < 1ms", d)
 	}
@@ -157,7 +149,7 @@ func TestTimerSpan(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("shim.processed").Add(42)
-	reg.Gauge("node.load.max").Set(1.25)
+	reg.Gauge("node.load.max").Max(1.25)
 	for i := 0; i < 10; i++ {
 		reg.Histogram("node.work").Observe(float64(i * i))
 	}

@@ -2,9 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
 	rtpprof "runtime/pprof"
@@ -55,23 +52,4 @@ func StartProfiling(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
-}
-
-// ServePprof exposes the net/http/pprof endpoints on addr (e.g.
-// "localhost:6060" or "127.0.0.1:0") in a background goroutine and returns
-// the bound address. The handler is mounted on a private mux, so enabling it
-// never touches http.DefaultServeMux.
-func ServePprof(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("obs: pprof listen: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go http.Serve(ln, mux)
-	return ln.Addr().String(), nil
 }

@@ -1,18 +1,25 @@
-// Package obs is the repository's live telemetry plane: a lightweight,
-// dependency-free metrics registry (counters, gauges, histograms with
-// quantile export, span-style timers, and ring-buffer time series), drift
-// detectors that watch any series, a span tracer exporting Chrome
-// trace_event timelines, a leveled structured logger that emits JSONL
-// events, an OpenMetrics exposition endpoint, and standard Go profiling
-// hooks. Every binary and the hot subsystems (LP solver, emulation, shim,
-// aggregation) record into a Registry so that each run can leave a
-// machine-readable metrics artifact — the reproduction's analog of the
-// paper's PAPI/byte-hop measurements (§8) — and, with -listen, be scraped
-// live mid-run.
+// Package obs is the repository's telemetry plane: a dependency-free
+// metrics registry (counters, max-tracking gauges, histograms with quantile
+// export, duration timers, and ring-buffer time series), drift detectors
+// that watch a series, a span tracer exporting Chrome trace_event
+// timelines, a leveled JSONL logger, an OpenMetrics endpoint that also
+// mounts the pprof handlers, and CPU/heap profile files. The binaries, the
+// experiment harness, the controller and the emulation record into a
+// Registry, so each run can leave a machine-readable metrics artifact (the
+// reproduction's analog of the paper's PAPI/byte-hop measurements, §8)
+// and, with -listen, be scraped live mid-run. The LP solver and the shim
+// do not import obs: core.RecordLPStats copies lp.SolveStats in after a
+// solve, and the emulation copies the shim counters at the end of a run.
 //
-// Everything that stamps a timestamp goes through an injectable Clock:
-// real binaries use Wall, the emulation injects its VirtualClock, which is
-// how the determinism CI gates keep holding with telemetry enabled.
+// Timestamps that reach an artifact are deterministic under the
+// emulation's VirtualClock: series samples carry the time their caller
+// passes to RecordAt, and the tracer reads the Clock it was built with.
+// Timers measure wall time, and the Logger stamps each line with
+// time.Now; neither is part of a pinned output.
+//
+// Every name this package exports has a reader outside its tests; DESIGN.md
+// lists each one with its reader, and TestExportsHaveReaders keeps that
+// table complete.
 //
 // All instruments are safe for concurrent use. A nil *Registry is a valid
 // no-op sink: lookups on it return live but unregistered instruments, so
@@ -24,7 +31,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,11 +55,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a float64 with last-write-wins semantics.
+// Gauge is a float64 high-water mark: Max only ever raises it.
 type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Max raises the gauge to v if v exceeds the current value.
 func (g *Gauge) Max(v float64) {
@@ -183,16 +186,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// Timer records span durations into a histogram of seconds. Timestamps
-// come from the timer's clock (the registry's clock for registry-created
-// timers, Wall for zero values).
-type Timer struct {
-	h     Histogram
-	clock Clock
-}
-
-// now reads the timer's clock, defaulting to Wall.
-func (t *Timer) now() time.Time { return clockOrWall(t.clock).Now() }
+// Timer records span durations into a histogram of seconds. Spans are
+// timed on Wall; durations measured elsewhere go in via ObserveDuration.
+type Timer struct{ h Histogram }
 
 // Span is one in-flight timed region.
 type Span struct {
@@ -201,20 +197,13 @@ type Span struct {
 }
 
 // Start opens a span; Stop on the returned value records it.
-func (t *Timer) Start() Span { return Span{t: t, start: t.now()} }
+func (t *Timer) Start() Span { return Span{t: t, start: Wall.Now()} }
 
 // Stop closes the span and returns its duration.
 func (s Span) Stop() time.Duration {
-	d := s.t.now().Sub(s.start)
+	d := Wall.Now().Sub(s.start)
 	s.t.h.ObserveDuration(d)
 	return d
-}
-
-// Time runs f inside a span.
-func (t *Timer) Time(f func()) time.Duration {
-	sp := t.Start()
-	f()
-	return sp.Stop()
 }
 
 // ObserveDuration records an externally measured duration (for code that
@@ -226,11 +215,9 @@ func (t *Timer) Snapshot() HistogramSnapshot { return t.h.Snapshot() }
 
 // Registry holds named instruments. Instruments are created on first use
 // and shared by name thereafter. The zero value is ready to use; a nil
-// *Registry is a valid no-op sink. Time-stamping instruments (timers,
-// series) created by the registry read its clock.
+// *Registry is a valid no-op sink.
 type Registry struct {
 	mu       sync.Mutex
-	clock    Clock
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -238,27 +225,8 @@ type Registry struct {
 	series   map[string]*Series
 }
 
-// NewRegistry returns an empty registry on the wall clock.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// NewRegistryWithClock returns an empty registry whose time-stamping
-// instruments read clock (nil means Wall). The emulation passes its
-// VirtualClock here so every exported timestamp is deterministic.
-func NewRegistryWithClock(clock Clock) *Registry {
-	return &Registry{clock: clock}
-}
-
-// Clock returns the registry's clock; a nil registry reports Wall. The
-// read takes the lock like every other access to the clock field so a
-// concurrent instrument registration never races it.
-func (r *Registry) Clock() Clock {
-	if r == nil {
-		return Wall
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return clockOrWall(r.clock)
-}
 
 // Counter returns the named counter, creating it if needed.
 func (r *Registry) Counter(name string) *Counter {
@@ -326,17 +294,17 @@ func (r *Registry) Timer(name string) *Timer {
 	}
 	t, ok := r.timers[name]
 	if !ok {
-		t = &Timer{clock: r.clock}
+		t = new(Timer)
 		r.timers[name] = t
 	}
 	return t
 }
 
-// Series returns the named time series, creating it (default capacity, the
-// registry's clock) if needed.
+// Series returns the named time series, creating it with the default
+// capacity if needed.
 func (r *Registry) Series(name string) *Series {
 	if r == nil {
-		return NewSeries(0, nil)
+		return NewSeries(0)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -345,7 +313,7 @@ func (r *Registry) Series(name string) *Series {
 	}
 	s, ok := r.series[name]
 	if !ok {
-		s = NewSeries(0, r.clock)
+		s = NewSeries(0)
 		r.series[name] = s
 	}
 	return s
@@ -398,34 +366,6 @@ func (r *Registry) Snapshot(meta map[string]any) RegistrySnapshot {
 		snap.Timeline[name] = s.Snapshot()
 	}
 	return snap
-}
-
-// Names returns the sorted names of all registered instruments (useful for
-// debugging and golden tests).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	for n := range r.timers {
-		out = append(out, n)
-	}
-	for n := range r.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -19,55 +19,34 @@ type Sample struct {
 }
 
 // Series is a fixed-capacity time-series instrument: a ring buffer of
-// timestamped samples with windowed summary statistics. It is the live
-// analog of a Histogram — where a histogram forgets *when* a value was
-// observed, a Series keeps the trajectory, which is what drift detection
-// and load-vs-time timelines need. Once the ring is full the oldest
-// samples are evicted; Count and Dropped in the snapshot record how much
-// history fell off. The zero value is usable (wall clock, default
-// capacity); Registry.Series hands out shared named instances stamped by
-// the registry's clock. All methods are safe for concurrent use.
+// timestamped samples. It is the live analog of a Histogram — where a
+// histogram forgets *when* a value was observed, a Series keeps the
+// trajectory, which is what drift detection and load-vs-time timelines
+// need. Once the ring is full the oldest samples are evicted; Count and
+// Dropped in the snapshot record how much history fell off. Every sample
+// carries the timestamp its caller passes to RecordAt. Create one with
+// NewSeries or Registry.Series; all methods are safe for concurrent use.
 type Series struct {
 	mu    sync.Mutex
-	clock Clock
-	buf   []Sample // ring, len == capacity once initialized
+	buf   []Sample // ring, len == capacity
 	head  int      // next write position
 	n     int      // live samples in buf
 	total uint64   // all-time observation count
 }
 
 // NewSeries returns a series with the given ring capacity (values < 1 use
-// DefaultSeriesCap) stamping samples with clock (nil means Wall).
-func NewSeries(capacity int, clock Clock) *Series {
+// DefaultSeriesCap).
+func NewSeries(capacity int) *Series {
 	if capacity < 1 {
 		capacity = DefaultSeriesCap
 	}
-	return &Series{buf: make([]Sample, capacity), clock: clockOrWall(clock)}
-}
-
-// init lazily sets up a zero-value Series.
-func (s *Series) init() {
-	if s.buf == nil {
-		s.buf = make([]Sample, DefaultSeriesCap)
-	}
-	if s.clock == nil {
-		s.clock = Wall
-	}
-}
-
-// Record appends a sample stamped with the series' clock.
-func (s *Series) Record(v float64) {
-	s.mu.Lock()
-	s.init()
-	s.push(Sample{T: s.clock.Now(), V: v})
-	s.mu.Unlock()
+	return &Series{buf: make([]Sample, capacity)}
 }
 
 // RecordAt appends a sample with an explicit timestamp. Callers own the
 // ordering: samples are retained in arrival order, not timestamp order.
 func (s *Series) RecordAt(t time.Time, v float64) {
 	s.mu.Lock()
-	s.init()
 	s.push(Sample{T: t, V: v})
 	s.mu.Unlock()
 }
@@ -82,38 +61,8 @@ func (s *Series) push(sm Sample) {
 	s.total++
 }
 
-// Len returns the number of retained samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Total returns the all-time observation count, including evicted samples.
-// Watchers use it as a cursor for Since.
-func (s *Series) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Last returns the most recent sample, or ok = false for an empty series.
-func (s *Series) Last() (Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Sample{}, false
-	}
-	return s.buf[(s.head-1+len(s.buf))%len(s.buf)], true
-}
-
-// Samples returns the retained samples in arrival order (oldest first).
-func (s *Series) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.samplesLocked()
-}
-
+// samplesLocked returns the retained samples in arrival order (oldest
+// first) under the caller's lock.
 func (s *Series) samplesLocked() []Sample { return s.tailLocked(s.n) }
 
 // tailLocked copies the newest k retained samples (k <= s.n), oldest
@@ -127,14 +76,14 @@ func (s *Series) tailLocked(k int) []Sample {
 }
 
 // Since returns the samples whose all-time index is >= cursor (0 returns
-// everything retained) along with the new cursor (the series' Total).
+// everything retained) along with the new cursor (the all-time count).
 // Samples evicted before the call are gone; drift watchers poll with the
 // cursor from the previous call to see each sample exactly once.
 //
 // Cost is proportional to what is returned, not to the ring: only the k
 // samples newer than the cursor are copied, into one slice of length k, and
-// a cursor at or past Total returns nil without allocating. The result
-// always equals the last k elements of Samples().
+// a cursor at or past the all-time count returns nil without allocating.
+// The result always equals the last k retained samples.
 func (s *Series) Since(cursor uint64) ([]Sample, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,7 +97,7 @@ func (s *Series) Since(cursor uint64) ([]Sample, uint64) {
 	return s.tailLocked(k), s.total
 }
 
-// SeriesStats summarizes a window of samples.
+// SeriesStats summarizes a series' retained samples.
 type SeriesStats struct {
 	Count int     `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -156,22 +105,6 @@ type SeriesStats struct {
 	Max   float64 `json:"max"`
 	P50   float64 `json:"p50"`
 	P90   float64 `json:"p90"`
-}
-
-// Stats summarizes the trailing window of the given length, measured back
-// from the newest sample's timestamp; window <= 0 summarizes every
-// retained sample. An empty window yields the zero stats.
-func (s *Series) Stats(window time.Duration) SeriesStats {
-	samples := s.Samples()
-	if window > 0 && len(samples) > 0 {
-		cutoff := samples[len(samples)-1].T.Add(-window)
-		lo := 0
-		for lo < len(samples) && samples[lo].T.Before(cutoff) {
-			lo++
-		}
-		samples = samples[lo:]
-	}
-	return statsOf(samples)
 }
 
 // statsOf computes summary statistics over samples.

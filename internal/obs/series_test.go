@@ -11,42 +11,35 @@ func virtualAt(sec int64) *VirtualClock {
 	return NewVirtualClock(time.Unix(sec, 0).UTC())
 }
 
+// samples returns s's retained samples, oldest first.
+func samples(s *Series) []Sample {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.samplesLocked()
+}
+
 func TestSeriesRecordAndStats(t *testing.T) {
 	vc := virtualAt(0)
-	s := NewSeries(8, vc)
+	s := NewSeries(8)
 	for i := 0; i < 5; i++ {
-		s.Record(float64(i + 1)) // 1..5, one second apart
+		s.RecordAt(vc.Now(), float64(i+1)) // 1..5, one second apart
 		vc.Advance(time.Second)
 	}
-	if s.Len() != 5 || s.Total() != 5 {
-		t.Fatalf("len/total = %d/%d, want 5/5", s.Len(), s.Total())
+	snap := s.Snapshot()
+	if snap.Count != 5 || len(snap.V) != 5 || snap.V[4] != 5 {
+		t.Fatalf("count/len/last = %d/%d/%v, want 5/5/5", snap.Count, len(snap.V), snap.V)
 	}
-	last, ok := s.Last()
-	if !ok || last.V != 5 {
-		t.Fatalf("last = %+v ok=%v, want v=5", last, ok)
-	}
-	st := s.Stats(0)
-	if st.Count != 5 || st.Min != 1 || st.Max != 5 || st.Mean != 3 {
-		t.Errorf("whole-ring stats = %+v", st)
-	}
-	// Trailing 2s window from the newest sample (t=4s) covers t ∈ [2s, 4s]:
-	// samples 3, 4, 5.
-	st = s.Stats(2 * time.Second)
-	if st.Count != 3 || st.Min != 3 || st.Max != 5 {
-		t.Errorf("windowed stats = %+v, want count=3 min=3 max=5", st)
+	if st := snap.Stats; st.Count != 5 || st.Min != 1 || st.Max != 5 || st.Mean != 3 || st.P50 != 3 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestSeriesRingEviction(t *testing.T) {
-	s := NewSeries(4, virtualAt(0))
+	s := NewSeries(4)
 	for i := 0; i < 10; i++ {
-		s.Record(float64(i))
+		s.RecordAt(time.Unix(int64(i), 0), float64(i))
 	}
-	if s.Len() != 4 || s.Total() != 10 {
-		t.Fatalf("len/total = %d/%d, want 4/10", s.Len(), s.Total())
-	}
-	got := s.Samples()
-	for i, sm := range got {
+	for i, sm := range samples(s) {
 		if want := float64(6 + i); sm.V != want {
 			t.Errorf("samples[%d].V = %g, want %g", i, sm.V, want)
 		}
@@ -58,9 +51,9 @@ func TestSeriesRingEviction(t *testing.T) {
 }
 
 func TestSeriesSinceCursor(t *testing.T) {
-	s := NewSeries(4, virtualAt(0))
-	s.Record(1)
-	s.Record(2)
+	s := NewSeries(4)
+	s.RecordAt(time.Unix(0, 0), 1)
+	s.RecordAt(time.Unix(1, 0), 2)
 	got, cur := s.Since(0)
 	if len(got) != 2 || cur != 2 {
 		t.Fatalf("Since(0) = %d samples, cursor %d", len(got), cur)
@@ -72,7 +65,7 @@ func TestSeriesSinceCursor(t *testing.T) {
 	}
 	// Overflow the ring past the cursor: only retained samples come back.
 	for i := 0; i < 6; i++ {
-		s.Record(float64(10 + i))
+		s.RecordAt(time.Unix(int64(2+i), 0), float64(10+i))
 	}
 	got, cur = s.Since(cur)
 	if len(got) != 4 || cur != 8 {
@@ -85,10 +78,10 @@ func TestSeriesSinceCursor(t *testing.T) {
 
 func TestSeriesSnapshotOffsets(t *testing.T) {
 	vc := virtualAt(100)
-	s := NewSeries(8, vc)
-	s.Record(1)
+	s := NewSeries(8)
+	s.RecordAt(vc.Now(), 1)
 	vc.Advance(250 * time.Millisecond)
-	s.Record(2)
+	s.RecordAt(vc.Now(), 2)
 	snap := s.Snapshot()
 	if !snap.Start.Equal(time.Unix(100, 0).UTC()) {
 		t.Errorf("start = %v", snap.Start)
@@ -98,29 +91,18 @@ func TestSeriesSnapshotOffsets(t *testing.T) {
 	}
 }
 
-func TestSeriesZeroValue(t *testing.T) {
-	var s Series
-	s.Record(3)
-	if s.Len() != 1 {
-		t.Fatalf("zero-value series len = %d", s.Len())
-	}
-	if last, ok := s.Last(); !ok || last.V != 3 || last.T.IsZero() {
-		t.Errorf("zero-value series last = %+v ok=%v (wall clock expected)", last, ok)
-	}
-}
-
 // TestRegistrySeriesSharing checks registry series are shared by name and
-// stamped by the registry clock.
+// keep the timestamp their caller passed.
 func TestRegistrySeriesSharing(t *testing.T) {
-	vc := virtualAt(7)
-	reg := NewRegistryWithClock(vc)
-	reg.Series("load").Record(1)
-	if got := reg.Series("load").Len(); got != 1 {
-		t.Fatalf("named series not shared: len = %d", got)
+	reg := NewRegistry()
+	at := time.Unix(7, 0).UTC()
+	reg.Series("load").RecordAt(at, 1)
+	got := samples(reg.Series("load"))
+	if len(got) != 1 {
+		t.Fatalf("named series not shared: len = %d", len(got))
 	}
-	last, _ := reg.Series("load").Last()
-	if !last.T.Equal(time.Unix(7, 0).UTC()) {
-		t.Errorf("sample time = %v, want registry clock time", last.T)
+	if !got[0].T.Equal(at) {
+		t.Errorf("sample time = %v, want %v", got[0].T, at)
 	}
 	snap := reg.Snapshot(nil)
 	if _, ok := snap.Timeline["load"]; !ok {
@@ -152,7 +134,7 @@ func TestSeriesStressConcurrent(t *testing.T) {
 				default:
 				}
 				reg.Snapshot(nil)
-				reg.Series("stress.shared").Stats(0)
+				reg.Series("stress.shared").Snapshot()
 				reg.Series("stress.shared").Since(0)
 			}
 		}()
@@ -165,7 +147,7 @@ func TestSeriesStressConcurrent(t *testing.T) {
 			defer wg.Done()
 			own := reg.Series(fmt.Sprintf("stress.worker.%d", w))
 			for i := 0; i < iters; i++ {
-				reg.Series("stress.shared").Record(float64(i))
+				reg.Series("stress.shared").RecordAt(time.Unix(int64(i), 0), float64(i))
 				own.RecordAt(time.Unix(int64(i), 0), float64(i))
 			}
 		}(w)
@@ -174,11 +156,11 @@ func TestSeriesStressConcurrent(t *testing.T) {
 	close(stop)
 	snapWG.Wait()
 
-	if got := reg.Series("stress.shared").Total(); got != workers*iters {
+	if got := reg.Series("stress.shared").Snapshot().Count; got != workers*iters {
 		t.Errorf("shared series total = %d, want %d (lost samples)", got, workers*iters)
 	}
 	for w := 0; w < workers; w++ {
-		if got := reg.Series(fmt.Sprintf("stress.worker.%d", w)).Total(); got != iters {
+		if got := reg.Series(fmt.Sprintf("stress.worker.%d", w)).Snapshot().Count; got != iters {
 			t.Errorf("worker %d series total = %d, want %d", w, got, iters)
 		}
 	}
@@ -193,23 +175,19 @@ func TestVirtualClock(t *testing.T) {
 	if !vc.Now().Equal(t0.Add(3 * time.Second)) {
 		t.Errorf("now = %v", vc.Now())
 	}
-	vc.Set(t0)
-	if !vc.Now().Equal(t0) {
-		t.Errorf("set failed: %v", vc.Now())
-	}
 }
 
 // TestSeriesSinceMatchesSamples pins Since to its executable spec: for
-// every cursor, Since(c) is the tail of Samples() holding the samples whose
-// all-time index is >= c. The ring is checked before it fills, exactly
+// every cursor, Since(c) is the tail of the retained samples holding the
+// samples whose all-time index is >= c. The ring is checked before it fills, exactly
 // full, and at every head position after wrapping, with cursors that are
 // evicted (older than anything retained), live, equal to Total and past it.
 func TestSeriesSinceMatchesSamples(t *testing.T) {
 	const capacity = 8
 	vc := virtualAt(0)
-	s := NewSeries(capacity, vc)
+	s := NewSeries(capacity)
 	for total := uint64(0); total <= 3*capacity+3; total++ {
-		all := s.Samples()
+		all := samples(s)
 		for c := uint64(0); c <= total+2; c++ {
 			got, cursor := s.Since(c)
 			if cursor != total {
@@ -228,7 +206,7 @@ func TestSeriesSinceMatchesSamples(t *testing.T) {
 				if sm != all[len(all)-len(got)+i] {
 					t.Fatalf("total %d: Since(%d)[%d] = %+v, want %+v", total, c, i, sm, all[len(all)-len(got)+i])
 				}
-				// Samples shares the ring-copy helper with Since, so also
+				// samplesLocked shares the ring-copy helper with Since, so also
 				// hold each sample to the model: the i-th observation ever
 				// recorded carries value i.
 				if idx := total - uint64(len(got)) + uint64(i); sm.V != float64(idx) {
@@ -239,7 +217,7 @@ func TestSeriesSinceMatchesSamples(t *testing.T) {
 				t.Fatalf("total %d: Since(%d) = %v, want nil for a cursor with nothing newer", total, c, got)
 			}
 		}
-		s.Record(float64(total))
+		s.RecordAt(vc.Now(), float64(total))
 		vc.Advance(time.Second)
 	}
 }
@@ -248,11 +226,11 @@ func TestSeriesSinceMatchesSamples(t *testing.T) {
 // a poll with k new samples allocates one slice of exactly k — never the
 // whole ring.
 func TestSeriesSinceAllocFree(t *testing.T) {
-	s := NewSeries(0, virtualAt(0)) // DefaultSeriesCap slots
-	for i := 0; i < 2*DefaultSeriesCap; i++ {
+	s := NewSeries(0) // DefaultSeriesCap slots
+	const total = 2 * DefaultSeriesCap
+	for i := 0; i < total; i++ {
 		s.RecordAt(time.Unix(int64(i), 0), float64(i))
 	}
-	total := s.Total()
 	if allocs := testing.AllocsPerRun(100, func() { s.Since(total) }); allocs != 0 {
 		t.Errorf("Since with nothing new: %v allocs/run, want 0", allocs)
 	}

@@ -10,8 +10,8 @@ import (
 // TestRegistryStressConcurrent is the race audit for the parallel sweep
 // engine: many goroutines hammer counters, gauges, histograms and span
 // timers on one registry — creating instruments by name concurrently, the
-// access pattern of concurrent solver jobs — and read its Clock, while
-// snapshot/export runs in parallel. Run under -race (CI does), it proves
+// access pattern of concurrent solver jobs — while snapshot/export runs in
+// parallel. Run under -race (CI does), it proves
 // the registry's read and write paths are race-clean; the final
 // assertions prove no observation is lost under contention.
 func TestRegistryStressConcurrent(t *testing.T) {
@@ -23,8 +23,8 @@ func TestRegistryStressConcurrent(t *testing.T) {
 
 	stop := make(chan struct{})
 	var snapWG sync.WaitGroup
-	// Concurrent readers: snapshot, JSON export and name listing must be
-	// safe while instruments are created and updated.
+	// Concurrent readers: snapshot and JSON export must be safe while
+	// instruments are created and updated.
 	for r := 0; r < 3; r++ {
 		snapWG.Add(1)
 		go func() {
@@ -44,7 +44,6 @@ func TestRegistryStressConcurrent(t *testing.T) {
 					t.Errorf("WriteJSON: %v", err)
 					return
 				}
-				reg.Names()
 			}
 		}()
 	}
@@ -58,15 +57,11 @@ func TestRegistryStressConcurrent(t *testing.T) {
 				// Shared instruments: all workers contend on one name.
 				reg.Counter("stress.ops").Inc()
 				reg.Gauge("stress.peak").Max(float64(w*iters + i))
-				reg.Gauge("stress.last").Set(float64(i))
 				reg.Histogram("stress.samples").Observe(float64(i))
 				sp := reg.Timer("stress.span").Start()
 				// Per-worker instruments: concurrent map insertion path.
 				reg.Counter(fmt.Sprintf("stress.worker.%d.ops", w)).Inc()
 				sp.Stop()
-				if c := reg.Clock(); c != Wall {
-					t.Errorf("Clock() = %v, want Wall", c)
-				}
 			}
 		}(w)
 	}

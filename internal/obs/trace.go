@@ -29,7 +29,6 @@ type SpanRecord struct {
 	ID     uint64
 	Parent uint64 // 0 for root spans
 	Name   string
-	TID    int // trace_event thread lane
 	Start  time.Time
 	End    time.Time
 	Args   []TraceArg
@@ -47,7 +46,10 @@ type Tracer struct {
 
 // NewTracer returns a tracer stamping spans with clock (nil means Wall).
 func NewTracer(clock Clock) *Tracer {
-	return &Tracer{clock: clockOrWall(clock)}
+	if clock == nil {
+		clock = Wall
+	}
+	return &Tracer{clock: clock}
 }
 
 // TraceSpan is one in-flight traced region. Spans are single-owner: the
@@ -57,7 +59,6 @@ type TraceSpan struct {
 	id     uint64
 	parent uint64
 	name   string
-	tid    int
 	start  time.Time
 	args   []TraceArg
 	ended  bool
@@ -68,35 +69,26 @@ func (t *Tracer) StartSpan(name string) *TraceSpan {
 	if t == nil {
 		return nil
 	}
-	return t.start(name, 0, 0)
+	return t.start(name, 0)
 }
 
-func (t *Tracer) start(name string, parent uint64, tid int) *TraceSpan {
+func (t *Tracer) start(name string, parent uint64) *TraceSpan {
 	t.mu.Lock()
 	t.nextID++
 	id := t.nextID
 	t.mu.Unlock()
 	return &TraceSpan{
-		tracer: t, id: id, parent: parent, name: name, tid: tid,
+		tracer: t, id: id, parent: parent, name: name,
 		start: t.clock.Now(),
 	}
 }
 
-// Child opens a span nested under s, inheriting its thread lane.
+// Child opens a span nested under s.
 func (s *TraceSpan) Child(name string) *TraceSpan {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.start(name, s.id, s.tid)
-}
-
-// OnThread moves the span to the given trace_event thread lane and returns
-// it, so parallel work renders on separate rows.
-func (s *TraceSpan) OnThread(tid int) *TraceSpan {
-	if s != nil {
-		s.tid = tid
-	}
-	return s
+	return s.tracer.start(name, s.id)
 }
 
 // Arg attaches a key/value annotation and returns the span.
@@ -116,7 +108,7 @@ func (s *TraceSpan) End() {
 	s.ended = true
 	t := s.tracer
 	rec := SpanRecord{
-		ID: s.id, Parent: s.parent, Name: s.name, TID: s.tid,
+		ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, End: t.clock.Now(), Args: s.args,
 	}
 	t.mu.Lock()
@@ -156,9 +148,9 @@ func (t *Tracer) Spans() []SpanRecord {
 }
 
 // WriteChromeTrace writes the completed spans as Chrome trace_event JSON
-// ("X" complete events, microsecond timestamps relative to the earliest
-// span). The output is deterministic: spans are ordered by start time and
-// ID, and args keep attachment order.
+// ("X" complete events on one thread lane, microsecond timestamps relative
+// to the earliest span). The output is deterministic: spans are ordered by
+// start time and ID, and args keep attachment order.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.Spans()
 	var base time.Time
@@ -173,9 +165,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		b = append(b, "\n"...)
 		b = append(b, `{"name":`...)
 		b = appendJSON(b, sp.Name)
-		b = append(b, `,"cat":"nwids","ph":"X","pid":1,"tid":`...)
-		b = appendJSON(b, sp.TID)
-		b = append(b, `,"ts":`...)
+		b = append(b, `,"cat":"nwids","ph":"X","pid":1,"tid":0,"ts":`...)
 		b = appendJSON(b, micros(sp.Start.Sub(base)))
 		b = append(b, `,"dur":`...)
 		b = appendJSON(b, micros(sp.End.Sub(sp.Start)))

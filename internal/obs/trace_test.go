@@ -17,7 +17,7 @@ func TestTracerSpanTree(t *testing.T) {
 	build := root.Child("model.build")
 	vc.Advance(2 * time.Millisecond)
 	build.End()
-	lp := root.Child("lp").OnThread(3)
+	lp := root.Child("lp")
 	vc.Advance(time.Millisecond)
 	lp.End()
 	root.End()
@@ -37,9 +37,6 @@ func TestTracerSpanTree(t *testing.T) {
 	}
 	if spans[1].Name != "model.build" || spans[1].End.Sub(spans[1].Start) != 2*time.Millisecond {
 		t.Errorf("child span timing: %+v", spans[1])
-	}
-	if spans[2].TID != 3 {
-		t.Errorf("OnThread lane = %d, want 3", spans[2].TID)
 	}
 	if len(spans[0].Args) != 1 || spans[0].Args[0].Key != "graph" {
 		t.Errorf("root args = %+v", spans[0].Args)
@@ -76,7 +73,7 @@ func TestNilTracerSafe(t *testing.T) {
 		t.Fatal("nil tracer returned non-nil span")
 	}
 	// The whole span API must be callable on nil.
-	sp.Child("y").Arg("k", 1).OnThread(2).End()
+	sp.Child("y").Arg("k", 1).End()
 	sp.End()
 	sp.End() // double End is also fine
 	if got := tr.Spans(); got != nil {
