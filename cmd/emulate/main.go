@@ -17,12 +17,12 @@ import (
 	"os"
 	"time"
 
-	"nwids"
 	"nwids/internal/core"
 	"nwids/internal/emulation"
 	"nwids/internal/metrics"
 	"nwids/internal/obs"
 	"nwids/internal/topology"
+	"nwids/internal/traffic"
 )
 
 func main() {
@@ -74,7 +74,7 @@ func main() {
 		}
 		fmt.Printf("telemetry serving on http://%s/metrics\n", addr)
 	}
-	sc := nwids.DefaultScenario(g)
+	sc := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
 	cfg := core.ReplicationConfig{MaxLinkLoad: *mll, DCCapacity: *dcCap, Mirror: core.MirrorDCOnly}
 	if *dcCap == 0 {
 		cfg = core.ReplicationConfig{Mirror: core.MirrorNone}

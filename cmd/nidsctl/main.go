@@ -30,7 +30,6 @@ import (
 	"os"
 	"time"
 
-	"nwids"
 	"nwids/internal/controller"
 	"nwids/internal/core"
 	"nwids/internal/emulation"
@@ -39,6 +38,7 @@ import (
 	"nwids/internal/obs"
 	"nwids/internal/shim"
 	"nwids/internal/topology"
+	"nwids/internal/traffic"
 )
 
 func main() {
@@ -95,7 +95,7 @@ func main() {
 		}
 		return
 	}
-	sc := nwids.DefaultScenario(g)
+	sc := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
 
 	cfg := core.ReplicationConfig{MaxLinkLoad: *mll, DCCapacity: *dcCap}
 	cfg.LP.Logf = log.Logf(obs.LevelDebug)

@@ -200,11 +200,11 @@ func TestDriverFlags(t *testing.T) {
 	dir := writeTempModule(t)
 	var stdout, stderr bytes.Buffer
 
-	// -rules lists all eight analyzers.
+	// -rules lists all five analyzers.
 	if code := run([]string{"-rules"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-rules exit = %d, want 0", code)
 	}
-	for _, name := range []string{"nondeterminism", "floatcmp", "panicsafe", "errdiscard", "exprloop", "coldsolve", "clocksafe", "hotalloc"} {
+	for _, name := range []string{"nondeterminism", "floatcmp", "panicsafe", "errdiscard", "coldsolve"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-rules output missing %s:\n%s", name, stdout.String())
 		}

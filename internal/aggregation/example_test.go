@@ -1,38 +1,29 @@
-// Distributed scan detection with aggregation (§6, §7.3): scan detection
-// counts the distinct destinations each source contacts, so without
-// aggregation it is pinned to each class's ingress. This example
-//
-//  1. replays the paper's Figure 8 worked example, comparing the three
-//     work-splitting strategies and their communication costs;
-//  2. runs a live distributed scan detection: per-node monitors with a
-//     reporting threshold of 0 ship reports over real TCP connections to an
-//     aggregator that applies the actual threshold, and the result is
-//     compared against a centralized oracle;
-//  3. solves the aggregation LP on Internet2 to show the load-balance win.
-package main
+package aggregation_test
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"log"
 	"net"
 
-	"nwids"
 	"nwids/internal/aggregation"
+	"nwids/internal/core"
 	"nwids/internal/nids"
 	"nwids/internal/packet"
+	"nwids/internal/topology"
+	"nwids/internal/traffic"
 )
 
-func main() {
-	fig8()
-	liveAggregation()
-	aggregationLP()
-}
+// Distributed scan detection with aggregation (§6, §7.3): scan detection
+// counts the distinct destinations each source contacts, so without
+// aggregation it is pinned to each class's ingress. The three examples
+// below replay the paper's Figure 8 worked example, run a live distributed
+// scan detection over TCP, and solve the aggregation LP.
 
-// fig8 reproduces the worked example: 2 sources × 4 destinations × 2 flows
-// on two 2-hop paths out of the aggregation node N1.
-func fig8() {
+// ExamplePathMonitors replays the Figure 8 worked example: 2 sources × 4
+// destinations × 2 flows on two 2-hop paths out of the aggregation node
+// N1, comparing the work-splitting strategies by communication cost.
+func ExamplePathMonitors() {
 	fmt.Println("== Figure 8: splitting strategies ==")
 	type contact struct {
 		src, dst uint32
@@ -47,6 +38,21 @@ func fig8() {
 		}
 	}
 	dist := func(node int) int { return map[int]int{2: 1, 3: 2, 4: 1, 5: 2}[node] }
+	feed := func(paths []*aggregation.PathMonitors) {
+		for _, c := range contacts {
+			tuple := packet.FiveTuple{Proto: 6, SrcIP: c.src, DstIP: c.dst, SrcPort: 1234, DstPort: 80}
+			paths[c.path].Observe(tuple)
+		}
+	}
+	rowHops := func(paths []*aggregation.PathMonitors) int {
+		cost := 0
+		for _, pm := range paths {
+			for _, r := range pm.CounterReports() {
+				cost += len(r.Counts) * dist(r.Node)
+			}
+		}
+		return cost
+	}
 
 	// Destination-level split: exact, but every node reports every source.
 	dstOwner := func(first uint32) aggregation.OwnerFunc {
@@ -57,24 +63,12 @@ func fig8() {
 			return 1
 		}
 	}
-	feed := func(paths []*aggregation.PathMonitors) {
-		for _, c := range contacts {
-			tuple := packet.FiveTuple{Proto: 6, SrcIP: c.src, DstIP: c.dst, SrcPort: 1234, DstPort: 80}
-			paths[c.path].Observe(tuple)
-		}
-	}
 	paths := []*aggregation.PathMonitors{
 		aggregation.NewPathMonitors(aggregation.DestinationLevel, []int{2, 3}, dstOwner(201)),
 		aggregation.NewPathMonitors(aggregation.DestinationLevel, []int{4, 5}, dstOwner(203)),
 	}
 	feed(paths)
-	cost := 0
-	for _, pm := range paths {
-		for _, r := range pm.CounterReports() {
-			cost += len(r.Counts) * dist(r.Node)
-		}
-	}
-	fmt.Printf("destination-level: %d row-hops (paper: 12)\n", cost)
+	fmt.Printf("destination-level: %d row-hops (paper: 12)\n", rowHops(paths))
 
 	// Source-level split: exact and communication-minimal.
 	srcOwner := func(src, _ uint32, _ packet.FiveTuple) int {
@@ -88,18 +82,18 @@ func fig8() {
 		aggregation.NewPathMonitors(aggregation.SourceLevel, []int{4, 5}, srcOwner),
 	}
 	feed(paths)
-	cost = 0
-	for _, pm := range paths {
-		for _, r := range pm.CounterReports() {
-			cost += len(r.Counts) * dist(r.Node)
-		}
-	}
-	fmt.Printf("source-level:      %d row-hops (paper: 6) — chosen strategy\n\n", cost)
+	fmt.Printf("source-level:      %d row-hops (paper: 6) — chosen strategy\n", rowHops(paths))
+
+	// Output:
+	// == Figure 8: splitting strategies ==
+	// destination-level: 12 row-hops (paper: 12)
+	// source-level:      6 row-hops (paper: 6) — chosen strategy
 }
 
-// liveAggregation ships per-source counter reports over real TCP to an
-// aggregator applying threshold k, and cross-checks with a central oracle.
-func liveAggregation() {
+// ExampleAggregator ships per-source counter reports over real TCP to an
+// aggregator applying threshold k, and cross-checks it with a centralized
+// oracle.
+func ExampleAggregator() {
 	fmt.Println("== live aggregation over TCP ==")
 	const k = 15
 
@@ -108,7 +102,7 @@ func liveAggregation() {
 	done := make(chan struct{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	expected := 3 // reports
 	go func() {
@@ -130,7 +124,7 @@ func liveAggregation() {
 				}
 			}
 			if err := conn.Close(); err != nil {
-				log.Fatal(err)
+				panic(err)
 			}
 		}
 	}()
@@ -149,23 +143,23 @@ func liveAggregation() {
 	for _, r := range pm.CounterReports() {
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		for _, sc := range r.Counts {
 			var row [8]byte
 			binary.BigEndian.PutUint32(row[0:], sc.Src)
 			binary.BigEndian.PutUint32(row[4:], uint32(sc.Count))
 			if _, err := conn.Write(row[:]); err != nil {
-				log.Fatal(err)
+				panic(err)
 			}
 		}
 		if err := conn.Close(); err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 	}
 	<-done
 	if err := ln.Close(); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	got := agg.Alerts()
@@ -175,22 +169,34 @@ func liveAggregation() {
 	if len(got) == len(want) && len(got) > 0 && got[0] == want[0] {
 		fmt.Println("distributed result is semantically equivalent to the centralized detector ✓")
 	} else {
-		log.Fatalf("aggregation mismatch: %v vs %v", got, want)
+		fmt.Printf("aggregation mismatch: %v vs %v\n", got, want)
 	}
-	fmt.Println()
+
+	// Output:
+	// == live aggregation over TCP ==
+	// aggregated alerts: [{167778521 40}]
+	// centralized oracle: [{167778521 40}]
+	// distributed result is semantically equivalent to the centralized detector ✓
 }
 
-// aggregationLP solves the §6 formulation on Internet2.
-func aggregationLP() {
+// Example_aggregationLP solves the §6 formulation on Internet2 and
+// compares its load balance with ingress-only scan detection.
+func Example_aggregationLP() {
 	fmt.Println("== aggregation LP (Internet2) ==")
-	sc := nwids.DefaultScenario(nwids.Internet2())
-	none := nwids.IngressAggregation(sc)
-	with, err := nwids.SolveAggregation(sc, nwids.AggregationConfig{Beta: 1})
+	g := topology.Internet2()
+	sc := core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
+	none := core.IngressAggregation(sc)
+	with, err := core.SolveAggregation(sc, core.AggregationConfig{Beta: 1})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("no aggregation:  max/avg load = %.2f\n",
 		none.Assignment.MaxLoad()/none.Assignment.AvgLoad())
 	fmt.Printf("with aggregation: max/avg load = %.2f, comm cost %.3g byte-hops\n",
 		with.Assignment.MaxLoad()/with.Assignment.AvgLoad(), with.CommCost)
+
+	// Output:
+	// == aggregation LP (Internet2) ==
+	// no aggregation:  max/avg load = 2.57
+	// with aggregation: max/avg load = 1.26, comm cost 2e+07 byte-hops
 }

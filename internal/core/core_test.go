@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nwids/internal/obs"
 	"nwids/internal/topology"
 	"nwids/internal/traffic"
 )
@@ -478,5 +479,51 @@ func TestMultiResourceScenario(t *testing.T) {
 	}
 	if a.MaxLoad() >= 1 {
 		t.Fatalf("replication should improve on ingress even with 2 resources: %g", a.MaxLoad())
+	}
+}
+
+// TestRecordLPStatsCountsOnlySolvedLPs records a closed-form assignment and
+// then a solved one: the closed-form one adds no solve, no iterations and
+// no timer sample but creates every lp.* key, and the solved one adds
+// exactly one solve and one sample per timer.
+func TestRecordLPStatsCountsOnlySolvedLPs(t *testing.T) {
+	sc := internet2Scenario(t)
+	reg := obs.NewRegistry()
+	ing := Ingress(sc)
+	RecordLPStats(reg, ing.Iterations, ing.SolveTime, ing.LPStats)
+	snap := reg.Snapshot(nil)
+	for _, key := range []string{"lp.solves", "lp.iterations", "lp.pivots.phase1", "lp.pivots.phase2", "lp.refactorizations", "lp.warm.hits"} {
+		if v, ok := snap.Counters[key]; !ok || v != 0 {
+			t.Errorf("closed form: counter %s = %d (present %v), want 0", key, v, ok)
+		}
+	}
+	for _, key := range []string{"lp.max_eta_at_refactor", "lp.max_residual"} {
+		if _, ok := snap.Gauges[key]; !ok {
+			t.Errorf("closed form: gauge %s missing", key)
+		}
+	}
+	timers := []string{"lp.solve", "lp.phase1", "lp.phase2"}
+	for _, key := range timers {
+		if ts, ok := snap.Timers[key]; !ok || ts.Count != 0 {
+			t.Errorf("closed form: timer %s count %d (present %v), want 0", key, ts.Count, ok)
+		}
+	}
+
+	a, err := SolveReplication(sc, ReplicationConfig{Mirror: MirrorDCOnly, MaxLinkLoad: 0.4, DCCapacity: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RecordLPStats(reg, a.Iterations, a.SolveTime, a.LPStats)
+	snap = reg.Snapshot(nil)
+	if got := snap.Counters["lp.solves"]; got != 1 {
+		t.Errorf("after one solve: lp.solves = %d, want 1", got)
+	}
+	if got := snap.Counters["lp.iterations"]; got != uint64(a.Iterations) || got == 0 {
+		t.Errorf("after one solve: lp.iterations = %d, want %d > 0", got, a.Iterations)
+	}
+	for _, key := range timers {
+		if ts := snap.Timers[key]; ts.Count != 1 {
+			t.Errorf("after one solve: timer %s count %d, want 1", key, ts.Count)
+		}
 	}
 }

@@ -137,9 +137,12 @@ type Assignment struct {
 // lp.bland_activations, lp.refactorizations, lp.warm.hits,
 // lp.warm.phase1_skips and lp.devex_resets; max gauges
 // lp.max_eta_at_refactor and lp.max_residual; timers lp.solve, lp.phase1
-// and lp.phase2. A nil registry records nothing.
+// and lp.phase2. A nil registry records nothing. A closed-form assignment
+// such as Ingress (zero iterations, solve time and stats) ran no LP: it
+// adds no solve and no timer sample, but still creates every key, so an
+// artifact's schema does not depend on the architecture.
 func RecordLPStats(reg *obs.Registry, iterations int, solveTime time.Duration, st lp.SolveStats) {
-	reg.Counter("lp.solves").Inc()
+	solves := reg.Counter("lp.solves")
 	reg.Counter("lp.iterations").Add(uint64(iterations))
 	reg.Counter("lp.pivots.phase1").Add(uint64(st.Phase1Pivots))
 	reg.Counter("lp.pivots.phase2").Add(uint64(st.Phase2Pivots))
@@ -152,9 +155,14 @@ func RecordLPStats(reg *obs.Registry, iterations int, solveTime time.Duration, s
 	reg.Counter("lp.devex_resets").Add(uint64(st.DevexResets))
 	reg.Gauge("lp.max_eta_at_refactor").Max(float64(st.MaxEtaAtRefactor))
 	reg.Gauge("lp.max_residual").Max(st.MaxResidual)
-	reg.Timer("lp.solve").ObserveDuration(solveTime)
-	reg.Timer("lp.phase1").ObserveDuration(st.Phase1Time)
-	reg.Timer("lp.phase2").ObserveDuration(st.Phase2Time)
+	solve, phase1, phase2 := reg.Timer("lp.solve"), reg.Timer("lp.phase1"), reg.Timer("lp.phase2")
+	if iterations == 0 && solveTime == 0 && st == (lp.SolveStats{}) {
+		return
+	}
+	solves.Inc()
+	solve.ObserveDuration(solveTime)
+	phase1.ObserveDuration(st.Phase1Time)
+	phase2.ObserveDuration(st.Phase2Time)
 }
 
 // NumNIDS returns the number of NIDS nodes (PoPs plus DC when present).

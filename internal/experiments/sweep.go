@@ -31,8 +31,9 @@ func (o Options) workerCount() int {
 // o.workerCount() goroutines and waits for all of them to finish. Jobs must
 // communicate results through index-addressed slots (never shared appends)
 // so that aggregation order does not depend on completion order. After a
-// job fails, workers stop picking up new jobs; the lowest-index error is
-// returned, so the error surfaced is also deterministic for errors that are
+// job fails, workers skip the jobs above its index but still run the ones
+// below it, so the lowest-index error is returned whatever the completion
+// order: the error surfaced is deterministic for errors that are
 // deterministic functions of their sweep point.
 func (o Options) forEach(n int, job func(i int) error) error {
 	workers := o.workerCount()
@@ -49,7 +50,8 @@ func (o Options) forEach(n int, job func(i int) error) error {
 	}
 	o.Obs.Gauge("sweep.workers").Max(float64(workers))
 	errs := make([]error, n)
-	var failed atomic.Bool
+	var lowestFailed atomic.Int64 // n until a job fails
+	lowestFailed.Store(int64(n))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -57,11 +59,15 @@ func (o Options) forEach(n int, job func(i int) error) error {
 		go func(w int) {
 			defer wg.Done()
 			for i := range next {
-				if failed.Load() {
+				if int64(i) > lowestFailed.Load() {
 					continue
 				}
 				if errs[i] = o.runJob(w, i, job); errs[i] != nil {
-					failed.Store(true)
+					for low := lowestFailed.Load(); int64(i) < low; low = lowestFailed.Load() {
+						if lowestFailed.CompareAndSwap(low, int64(i)) {
+							break
+						}
+					}
 				}
 			}
 		}(w)

@@ -61,6 +61,22 @@ func runColdSolve(pass *lint.Pass) {
 	}
 }
 
+// isSweepEntry reports whether call invokes the sweep engine: the forEach
+// method or the sweepMap function of an internal/experiments package.
+func isSweepEntry(pass *lint.Pass, call *ast.CallExpr) bool {
+	f := calleeFunc(pass.Info, call)
+	if f == nil || !pathHasSegment(funcPkgPath(f), "internal/experiments") {
+		return false
+	}
+	switch f.Name() {
+	case "forEach":
+		return !isPkgLevel(f)
+	case "sweepMap":
+		return isPkgLevel(f)
+	}
+	return false
+}
+
 // checkColdSolves reports direct one-shot solve calls inside one worker
 // closure. Calls routed through the solve*Cold wrappers resolve to a
 // different callee and are not flagged — that naming is the convention for

@@ -7,13 +7,8 @@
 //	floatcmp        tolerance-based float comparisons in numeric kernels
 //	panicsafe       *OK metrics variants outside internal/metrics
 //	errdiscard      no silently dropped errors (beyond go vet)
-//	exprloop        no RNG consumption inside sweep worker closures
 //	coldsolve       no one-shot solve calls inside sweep worker closures
 //	                that ignore an available warm-start handle
-//	clocksafe       no direct wall-clock calls in the telemetry plane;
-//	                time flows through the injectable obs.Clock
-//	hotalloc        no allocation shapes (make, copy-grow append,
-//	                capturing closures) in //nwids:hotpath functions
 package rules
 
 import (
@@ -33,10 +28,7 @@ func All() []*lint.Analyzer {
 		FloatCmp,
 		PanicSafe,
 		ErrDiscard,
-		ExprLoop,
 		ColdSolve,
-		Clocksafe,
-		Hotalloc,
 	}
 }
 

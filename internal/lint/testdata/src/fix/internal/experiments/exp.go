@@ -1,11 +1,9 @@
-// Package experiments is the panicsafe + exprloop + coldsolve golden
-// fixture: it replicates the sweep engine's forEach/sweepMap shapes and
-// calls the metrics/core/lp stubs by their scoped import paths.
+// Package experiments is the panicsafe + coldsolve golden fixture: it
+// replicates the sweep engine's forEach/sweepMap shapes and calls the
+// metrics/core/lp stubs by their scoped import paths.
 package experiments
 
 import (
-	"math/rand"
-
 	"fix/internal/core"
 	"fix/internal/lp"
 	"fix/internal/metrics"
@@ -51,30 +49,6 @@ func summarize(xs []float64) float64 {
 	_ = metrics.Box(xs)             // want `metrics.Box panics on empty data`
 	_ = metrics.Quantile(xs, 0.9)   // want `metrics.Quantile panics on empty data`
 	return m + q[0]
-}
-
-// sweep demonstrates the fixed-order RNG contract: seeds are pre-drawn
-// sequentially, worker closures build job-local generators.
-func sweep(o Options, rng *rand.Rand) error {
-	seeds := make([]int64, 4)
-	for i := range seeds {
-		seeds[i] = rng.Int63() // sequential pre-draw: fine
-	}
-	return o.forEach(len(seeds), func(i int) error {
-		r := rand.New(rand.NewSource(seeds[i])) // job-local RNG: fine
-		_ = r.Float64()
-		return nil
-	})
-}
-
-// badSweep consumes shared RNG state inside the worker closures.
-func badSweep(o Options, rng *rand.Rand) error {
-	_, err := sweepMap(o, 4, func(i int) (float64, error) {
-		v := rng.Float64() // want `rng.Float64 consumes RNG captured outside the sweep worker closure`
-		g := rand.Int()    // want `global math/rand.Int inside a sweep worker closure` `global math/rand.Int in the deterministic core`
-		return v + float64(g), nil
-	})
-	return err
 }
 
 // coldSweep calls one-shot solve entry points directly inside worker

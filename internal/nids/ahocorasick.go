@@ -207,8 +207,6 @@ func (m *Matcher) Scan(data []byte) []Match {
 // case is therefore a payload whose first bytes match: it costs the
 // sequential scan plus at most warm discarded steps. A payload without
 // matches — nearly all traffic — never leaves the interleaved loop.
-//
-//nwids:hotpath
 func (m *Matcher) ScanStreamInto(state int32, data []byte, out []Match) (int32, []Match) {
 	if len(data) < m.laneMin() {
 		return m.scanLane(state, data, 0, out)
@@ -250,8 +248,6 @@ func (m *Matcher) ScanStreamInto(state int32, data []byte, out []Match) (int32, 
 // and returns the number of steps taken, leaving the lanes' states in s. A
 // step out of an emitting state indexes past the silent rows, so one compare
 // per lane and step is both the bounds check and the emit test.
-//
-//nwids:hotpath
 func (m *Matcher) silent4(s *[4]uint32, d0, d1, d2, d3 []byte) int {
 	silent := m.tab[:m.emitFrom]
 	d1, d2, d3 = d1[:len(d0)], d2[:len(d0)], d3[:len(d0)]
@@ -270,8 +266,6 @@ func (m *Matcher) silent4(s *[4]uint32, d0, d1, d2, d3 []byte) int {
 
 // scanLane is the sequential scan: it walks data from state, appending each
 // match with End counted from base, the offset of data in the payload.
-//
-//nwids:hotpath
 func (m *Matcher) scanLane(state int32, data []byte, base int, out []Match) (int32, []Match) {
 	tab, emitFrom := m.tab, m.emitFrom
 	s := uint32(state)

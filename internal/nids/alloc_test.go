@@ -7,7 +7,7 @@ import (
 	"nwids/internal/packet"
 )
 
-// Alloc-regression tests for the engine's //nwids:hotpath entry points:
+// Alloc-regression tests for the engine's per-packet entry points:
 // once warm (flow table sized, match buffer grown, scan sets populated)
 // the steady state must not allocate, and ResetEpoch must roll an epoch
 // over by clearing those structures in place, not by reallocating them.

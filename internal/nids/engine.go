@@ -95,8 +95,6 @@ func NewEngineWithMatcher(rules []Rule, m *Matcher, scanK int) *Engine {
 // state allocates nothing: the flow table stores state inline, the match
 // buffer is reused across packets, and only a growing alert backlog or a
 // brand-new flow/scan pair can trigger amortized growth.
-//
-//nwids:hotpath
 func (e *Engine) ProcessPacket(p packet.Packet) {
 	e.stats.Packets++
 	e.stats.BytesScanned += uint64(len(p.Payload))

@@ -22,7 +22,8 @@ var Wall Clock = wallClock{}
 type wallClock struct{}
 
 // Now returns the wall-clock time. This is the single sanctioned wall-time
-// read in the telemetry plane (see the clocksafe lint rule).
+// read in the telemetry plane; the emulation's byte pins on its virtual-clock
+// timelines and traces fail if another one stamps them.
 func (wallClock) Now() time.Time { return time.Now() }
 
 // VirtualClock is a manually advanced Clock for deterministic telemetry:

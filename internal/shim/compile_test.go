@@ -314,10 +314,10 @@ func TestDecideFlowIntoMergedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocFree pins the zero-allocation contract of every
-// annotated //nwids:hotpath entry point with testing.AllocsPerRun — the
-// dynamic complement to the hotalloc lint rule. The shim runs a merged
-// transition config, so the two-decision path is measured too.
+// TestHotPathAllocFree pins the zero-allocation contract of the shim's
+// per-packet entry points (DecideFlowInto and its two wrappers) with
+// testing.AllocsPerRun. The shim runs a merged transition config, so the
+// two-decision path is measured too.
 func TestHotPathAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := randomConfig(rng, 8, nil)

@@ -130,8 +130,6 @@ func (s *Shim) CheckConfig(cfg *Config) error {
 // as if each of the n packets were decided alone: Processed or Replicated
 // by n per decision (work performed, not rules matched), Skipped by n when
 // there is none, Dual by n per decision beyond the first.
-//
-//nwids:hotpath
 func (s *Shim) DecideFlowInto(p packet.Packet, u uint64, n int, out []Decision) []Decision {
 	per := uint64(n)
 	s.Counters.Seen += per
@@ -173,8 +171,6 @@ rules:
 // DecideFlow returns the first decision DecideFlowInto makes for the flow,
 // or Skip when it makes none; counters advance as DecideFlowInto's do.
 // Under a single configuration that first decision is the only one.
-//
-//nwids:hotpath
 func (s *Shim) DecideFlow(p packet.Packet, u uint64, n int) Decision {
 	var buf [2]Decision
 	if out := s.DecideFlowInto(p, u, n, buf[:0]); len(out) > 0 {

@@ -49,8 +49,6 @@ func MergeConfigs(prev, next *Config) (*Config, error) {
 // under the configuration's seed and appends every prescribed decision to
 // out (typically buf[:0] of a reused slice, so the per-packet transition
 // path allocates nothing in steady state).
-//
-//nwids:hotpath
 func (s *Shim) DecideAllInto(p packet.Packet, out []Decision) []Decision {
 	return s.DecideFlowInto(p, HashTuple(p.Tuple, s.comp.seed), 1, out)
 }
