@@ -1,18 +1,30 @@
-package nwids_test
+// Package nwids holds no library code: the module's packages live under
+// internal/ and its binaries under cmd/. The tests here drive those
+// packages end to end, from the evaluation scenario through the
+// controller's assignment to the shim configs and the emulation.
+package nwids
 
 import (
 	"math"
 	"testing"
 
-	"nwids"
+	"nwids/internal/core"
+	"nwids/internal/emulation"
+	"nwids/internal/shim"
+	"nwids/internal/topology"
+	"nwids/internal/traffic"
 )
 
-// TestFacadeQuickstart exercises the doc-comment quickstart end to end.
+func defaultScenario(g *topology.Graph) *core.Scenario {
+	return core.NewScenario(g, traffic.GravityDefault(g), core.ScenarioOptions{})
+}
+
+// TestFacadeQuickstart checks the README quickstart: replication to a
+// datacenter keeps the max NIDS load well below ingress-only's 1.0.
 func TestFacadeQuickstart(t *testing.T) {
-	g := nwids.Internet2()
-	sc := nwids.DefaultScenario(g)
-	a, err := nwids.SolveReplication(sc, nwids.ReplicationConfig{
-		Mirror: nwids.MirrorDCOnly, MaxLinkLoad: 0.4, DCCapacity: 10,
+	sc := defaultScenario(topology.Internet2())
+	a, err := core.SolveReplication(sc, core.ReplicationConfig{
+		Mirror: core.MirrorDCOnly, MaxLinkLoad: 0.4, DCCapacity: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -20,27 +32,26 @@ func TestFacadeQuickstart(t *testing.T) {
 	if a.MaxLoad() >= 0.5 {
 		t.Fatalf("replication max load = %.3f, expected well below ingress-only 1.0", a.MaxLoad())
 	}
-	ing := nwids.IngressOnly(sc)
+	ing := core.Ingress(sc)
 	if math.Abs(ing.MaxLoad()-1) > 1e-9 {
 		t.Fatalf("ingress max load = %g", ing.MaxLoad())
 	}
 }
 
-// TestFacadeEndToEnd runs controller → shim configs → emulation through the
-// public API only.
+// TestFacadeEndToEnd runs controller → shim configs → emulation.
 func TestFacadeEndToEnd(t *testing.T) {
-	sc := nwids.DefaultScenario(nwids.Internet2())
-	a, err := nwids.SolveReplication(sc, nwids.ReplicationConfig{
-		Mirror: nwids.MirrorDCOnly, MaxLinkLoad: 0.4, DCCapacity: 8,
+	sc := defaultScenario(topology.Internet2())
+	a, err := core.SolveReplication(sc, core.ReplicationConfig{
+		Mirror: core.MirrorDCOnly, MaxLinkLoad: 0.4, DCCapacity: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := nwids.CompileShimConfigs(a, 1)
+	cfgs := shim.CompileConfigs(a, 1)
 	if len(cfgs) != 12 {
 		t.Fatalf("shim configs = %d", len(cfgs))
 	}
-	res, err := nwids.Emulate(nwids.EmulationConfig{Assignment: a, TotalSessions: 400})
+	res, err := emulation.Run(emulation.Config{Assignment: a, TotalSessions: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,40 +60,5 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if res.DetectedSessions < res.MaliciousSessions {
 		t.Fatal("lost detections")
-	}
-}
-
-func TestFacadeNIDSTypes(t *testing.T) {
-	rules := nwids.DefaultRules()
-	e := nwids.NewEngine(rules, 10)
-	if e.ActiveFlows() != 0 {
-		t.Fatal("fresh engine")
-	}
-	m := nwids.NewMatcher([][]byte{[]byte("abc")})
-	if len(m.Scan([]byte("zabcz"))) != 1 {
-		t.Fatal("matcher via facade")
-	}
-	d := nwids.NewScanDetector(1)
-	d.Observe(1, 2)
-	d.Observe(1, 3)
-	if len(d.Report()) != 1 {
-		t.Fatal("scan detector via facade")
-	}
-}
-
-func TestFacadeTopologyHelpers(t *testing.T) {
-	if len(nwids.Topologies()) != 8 {
-		t.Fatal("Topologies")
-	}
-	if nwids.TopologyByName("NTT").NumNodes() != 70 {
-		t.Fatal("ByName")
-	}
-	g := nwids.RocketfuelLike("x", 10, 5)
-	if !g.Connected() {
-		t.Fatal("generator")
-	}
-	sc := nwids.DefaultScenario(nwids.Geant())
-	if nwids.DCPlacement(sc) < 0 {
-		t.Fatal("placement")
 	}
 }
